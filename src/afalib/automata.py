@@ -9,22 +9,31 @@ use the weighting readout instead: the absolute mass on the accepting
 entries divided by the l1 norm of the final state, which is what makes
 negative entries meaningful.
 
+Evaluation runs on exact integer states (:data:`afalib.exactnum.ExactState`)
+stepped by :meth:`afalib.exactnum.Mat.step`; fractions are built only
+for the values and states this module returns.
+
 States are referred to by 0-based index everywhere in this module; the
 file format layer maps names to indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import (
     ZERO,
+    ExactState,
     Mat,
     MatrixKind,
     basis_vector,
+    exact_state,
     l1_norm,
+    state_vector,
     validate_kind,
 )
 
@@ -126,27 +135,53 @@ class ClassicalAutomaton:
         return out
 
 
-def run(machine: ClassicalAutomaton, w: str) -> tuple[Fraction, ...]:
-    """Exact final state column after reading ``cent + w + dollar``."""
-    v = basis_vector(machine.size, machine.initial)
-    v = machine.transitions[CENT].apply(v)
+def _operators(machine: ClassicalAutomaton, w: str) -> list[Mat]:
+    """The matrices applied on reading ``cent + w + dollar``, in order."""
     for ch in w:
         if ch not in machine.alphabet:
             raise ValueError(f"symbol {ch!r} not in alphabet {machine.alphabet}")
-        v = machine.transitions[ch].apply(v)
-    return machine.transitions[DOLLAR].apply(v)
+    table = machine.transitions
+    return [table[CENT], *(table[ch] for ch in w), table[DOLLAR]]
 
 
-def _readout(machine: ClassicalAutomaton, final: Sequence[Fraction]) -> Fraction:
+def _initial(machine: ClassicalAutomaton) -> ExactState:
+    return exact_state(basis_vector(machine.size, machine.initial))
+
+
+def _final(machine: ClassicalAutomaton, w: str) -> ExactState:
+    state = _initial(machine)
+    for mat in _operators(machine, w):
+        state = mat.step(state)
+    return state
+
+
+def run(machine: ClassicalAutomaton, w: str) -> tuple[Fraction, ...]:
+    """Exact final state column after reading ``cent + w + dollar``."""
+    return state_vector(_final(machine, w))
+
+
+def _l1_numerator(nums: Sequence[int]) -> int:
+    norm = sum(map(abs, nums))
+    if not norm:
+        raise ValueError("the affine state is the zero vector, whose l1 norm is 0")
+    return norm
+
+
+def _readout(machine: ClassicalAutomaton, state: ExactState) -> Fraction:
+    nums, den = state
     if machine.kind == "afa":
-        mass = sum((abs(final[k]) for k in machine.accepting), ZERO)
-        return mass / l1_norm(final)
-    return sum((final[k] for k in machine.accepting), ZERO)
+        # Weighting: the common denominator cancels between mass and norm.
+        return Fraction(sum(abs(nums[k]) for k in machine.accepting), _l1_numerator(nums))
+    return Fraction(sum(nums[k] for k in machine.accepting), den)
 
 
 def accept_value(machine: ClassicalAutomaton, w: str) -> Fraction:
-    """Acceptance value of ``w``, exact, in [0, 1] for valid machines."""
-    return _readout(machine, run(machine, w))
+    """Acceptance value of ``w``, exact, in [0, 1] for valid machines.
+
+    Raises ``ValueError`` when an affine machine's final state is the zero
+    vector, which only an invalid machine can reach.
+    """
+    return _readout(machine, _final(machine, w))
 
 
 def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
@@ -156,41 +191,67 @@ def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
     operator application (markers included). Starting from an affine
     state the entry-sum stays nonzero along the whole trace, so the
     normalizer never sees a zero vector, and for valid affine machines
-    the result equals :func:`accept_value` exactly.
+    the result equals :func:`accept_value` exactly. An invalid machine
+    that reaches the zero vector raises ``ValueError``.
     """
     if machine.kind != "afa":
         raise ValueError("normalized semantics is defined for affine machines only")
-    v = basis_vector(machine.size, machine.initial)
-    for sym in (CENT, *w, DOLLAR):
-        if sym not in machine.transitions:
-            raise ValueError(f"symbol {sym!r} not in alphabet {machine.alphabet}")
-        v = machine.transitions[sym].apply(v)
-        norm = l1_norm(v)
-        v = tuple(x / norm for x in v)
-    return sum((abs(v[k]) for k in machine.accepting), ZERO)
+    state = _initial(machine)
+    for mat in _operators(machine, w):
+        nums, _ = mat.step(state)
+        # nums / den divided by its l1 norm, sum|nums| / den, is nums / sum|nums|.
+        norm = _l1_numerator(nums)
+        g = math.gcd(*nums, norm)
+        state = tuple(x // g for x in nums), norm // g
+    nums, den = state
+    return Fraction(sum(abs(nums[k]) for k in machine.accepting), den)
 
 
 def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[str, Fraction]]:
     """Yield ``(w, accept_value(w))`` for every string with ``len(w) <= maxlen``.
 
     Strings come out in length order, lexicographic within a length
-    following the machine's alphabet order. Shared prefixes are evaluated
-    once, which keeps exhaustive sweeps over tens of thousands of strings
-    cheap; per-string results are identical to :func:`accept_value`.
+    following the machine's alphabet order; per-string results are
+    identical to :func:`accept_value`. The paper's languages are counting
+    languages, so many strings reach the same state vector: each distinct
+    exact state is stepped once per symbol and read out once, and a
+    string costs one table lookup. Levels are built only as the
+    generator reaches them.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
     dollar = machine.transitions[DOLLAR]
-    start = machine.transitions[CENT].apply(basis_vector(machine.size, machine.initial))
-    frontier: list[tuple[str, tuple[Fraction, ...]]] = [("", start)]
-    while frontier:
-        grown = []
-        for w, v in frontier:
-            yield w, _readout(machine, dollar.apply(v))
-            if len(w) < maxlen:
-                for sym in machine.alphabet:
-                    grown.append((w + sym, machine.transitions[sym].apply(v)))
-        frontier = grown
+    steps = [machine.transitions[sym] for sym in machine.alphabet]
+    index: dict[ExactState, int] = {}
+    states: list[ExactState] = []
+    values: list[Fraction] = []
+    successors: list[tuple[int, ...] | None] = []
+
+    def intern(state: ExactState) -> int:
+        i = index.get(state)
+        if i is None:
+            i = index[state] = len(states)
+            states.append(state)
+            values.append(_readout(machine, dollar.step(state)))
+            successors.append(None)
+        return i
+
+    # level[i] is the state id of the i-th string of this length.
+    level = [intern(machine.transitions[CENT].step(_initial(machine)))]
+    length = 0
+    while level:
+        for letters, i in zip(product(machine.alphabet, repeat=length), level):
+            yield "".join(letters), values[i]
+        if length == maxlen:
+            return
+        grown: list[int] = []
+        for i in level:
+            row = successors[i]
+            if row is None:
+                row = successors[i] = tuple(intern(mat.step(states[i])) for mat in steps)
+            grown.extend(row)
+        level = grown
+        length += 1
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,11 @@ def cmd_run(args) -> int:
         value = accept_value_normalized(machine, w)
         print("value " + render_rational(value))
         return 0
+    # Both before any output, so a failing readout leaves stdout empty.
     final = run(machine, w)
+    value = accept_value(machine, w)
     print("final " + " ".join(render_rational(x) for x in final))
-    print("value " + render_rational(accept_value(machine, w)))
+    print("value " + render_rational(value))
     return 0
 
 
@@ -272,10 +274,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -6,12 +6,19 @@ Matrices follow the column-to-row transition convention: entry ``m[k, j]``
 is the weight carried from state ``j`` to state ``k``, and state column
 vectors evolve by left multiplication, ``v2 = m.apply(v)``.
 
-Machines in scope stay small (a few dozen states), so matrices are plain
-dense tuples; there is deliberately no sparse machinery here.
+Matrices are dense tuples of fractions. For repeated evaluation each
+matrix also carries an integer form, built on first use: every row keeps
+only its nonzero ``(column, numerator)`` pairs over one common
+denominator. :meth:`Mat.step` applies it to an :data:`ExactState`, a
+vector written as integer numerators over one positive denominator with
+no common factor, so each exact vector has exactly one such form and can
+key a dict. Nothing in the kernel is a float; :func:`state_vector` turns
+a state back into fractions.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -19,6 +26,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+# (numerators, denominator): the vector numerators / denominator, reduced.
+ExactState = tuple[tuple[int, ...], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,6 +78,22 @@ def basis_vector(size: int, index: int) -> tuple[Fraction, ...]:
     return tuple(ONE if i == index else ZERO for i in range(size))
 
 
+def exact_state(v: Sequence[Fraction]) -> ExactState:
+    """Canonical integer form of an exact vector.
+
+    The denominator is the least common multiple of the entries'
+    denominators, which leaves no factor common to it and every numerator.
+    """
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
+def state_vector(state: ExactState) -> tuple[Fraction, ...]:
+    """Inverse of :func:`exact_state`."""
+    nums, den = state
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def vec_sum(v: Sequence[Fraction]) -> Fraction:
     return sum(v, ZERO)
 
@@ -86,7 +112,7 @@ class MatrixKind(Enum):
 class Mat:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_integer")
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(_entry(x) for x in row) for row in rows)
@@ -98,6 +124,7 @@ class Mat:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -139,6 +166,36 @@ class Mat:
                     acc += a * x
             out.append(acc)
         return tuple(out)
+
+    def integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """``(d, rows)``: ``d * self`` as integer rows of nonzero ``(j, entry)`` pairs.
+
+        ``d`` is the least common denominator of the entries. The form is
+        built on first use and kept on the matrix.
+        """
+        form = self._integer
+        if form is None:
+            d = math.lcm(*(x.denominator for row in self.data for x in row))
+            rows = tuple(
+                tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x)
+                for row in self.data
+            )
+            form = (d, rows)
+            object.__setattr__(self, "_integer", form)
+        return form
+
+    def step(self, state: ExactState) -> ExactState:
+        """:meth:`apply` on integer states: ``exact_state(self @ state_vector(state))``."""
+        nums, den = state
+        if len(nums) != self.cols:
+            raise ValueError(f"vector length {len(nums)} does not match {self.cols} columns")
+        d, rows = self.integer_form()
+        out = [sum([a * nums[j] for j, a in row]) for row in rows]
+        den *= d
+        g = math.gcd(*out, den)
+        if g == 1:
+            return tuple(out), den
+        return tuple(x // g for x in out), den // g
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):

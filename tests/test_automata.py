@@ -1,6 +1,8 @@
 """Tests for machine containers, evaluation and the weighting readout."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,9 @@ from afalib.automata import (
     run,
     weigh_partition,
 )
-from afalib.exactnum import Mat, l1_norm, vec
+from afalib.constructions import abs_eq, lapins, m1_eq, m2_eq
+from afalib.exactnum import Mat, basis_vector, l1_norm, vec
+from afalib.rand import random_afa, random_pfa
 
 
 def doubling_machine():
@@ -219,6 +223,23 @@ def test_symbols_outside_the_alphabet_raise():
         run(doubling_machine(), "ac")
 
 
+def test_zero_state_readouts_raise_value_error():
+    m = ClassicalAutomaton.build(
+        kind="afa",
+        states=("p", "q"),
+        alphabet=("a",),
+        transitions={"a": Mat([[0, 0], [0, 0]])},
+        initial=0,
+        accepting=(0,),
+    )
+    assert run(m, "a") == vec([0, 0])
+    for evaluate in (accept_value, accept_value_normalized):
+        with pytest.raises(ValueError, match="zero vector"):
+            evaluate(m, "a")
+    with pytest.raises(ValueError, match="zero vector"):
+        list(prefix_values(m, 1))
+
+
 def test_dfa_automaton_builder_runs_by_name():
     m = dfa_automaton(
         states=("even", "odd"),
@@ -250,6 +271,80 @@ def test_prefix_values_agree_with_direct_evaluation():
     m = doubling_machine()
     for w, value in prefix_values(m, 5):
         assert value == accept_value(m, w)
+
+
+def test_prefix_values_stays_lazy():
+    values = prefix_values(m1_eq(), 10**6)
+    assert next(values) == ("", 1)
+    assert next(values)[0] == "a"
+
+
+def test_prefix_values_steps_each_distinct_state_once(monkeypatch):
+    m, maxlen = m1_eq(), 8
+    # Distinct states after cent + w, from Mat.apply alone.
+    shorter, everything = set(), set()
+    for n in range(maxlen + 1):
+        for letters in product(m.alphabet, repeat=n):
+            v = m.transitions[CENT].apply(basis_vector(m.size, m.initial))
+            for sym in letters:
+                v = m.transitions[sym].apply(v)
+            everything.add(v)
+            if n < maxlen:
+                shorter.add(v)
+    calls = []
+    real_step = Mat.step
+    monkeypatch.setattr(Mat, "step", lambda mat, state: calls.append(1) or real_step(mat, state))
+    assert len(list(prefix_values(m, maxlen))) == 2 ** (maxlen + 1) - 1
+    # cent once, dollar per distinct state, each letter per distinct shorter state.
+    assert len(calls) == 1 + len(everything) + len(m.alphabet) * len(shorter)
+
+
+# ------------------------------------------- kernel against a Mat.apply loop
+
+
+def plain_trace(machine, w, normalize=False):
+    """Final state of ``cent + w + dollar`` through Mat.apply alone."""
+    v = basis_vector(machine.size, machine.initial)
+    for sym in (CENT, *w, DOLLAR):
+        v = machine.transitions[sym].apply(v)
+        if normalize:
+            norm = l1_norm(v)
+            v = tuple(x / norm for x in v)
+    return v
+
+
+def plain_value(machine, w):
+    v = plain_trace(machine, w)
+    if machine.kind == "afa":
+        return sum(abs(v[k]) for k in machine.accepting) / l1_norm(v)
+    return sum((v[k] for k in machine.accepting), Fraction(0))
+
+
+KERNEL_CASES = {
+    "m1_eq": (m1_eq, 6),
+    "m2_eq": (lambda: m2_eq(3), 5),
+    "abs_eq": (abs_eq, 5),
+    "lapins": (lapins, 3),
+    **{f"afa-{seed}": (lambda seed=seed: random_afa(random.Random(seed), 2 + seed), 4) for seed in range(4)},
+    **{f"pfa-{seed}": (lambda seed=seed: random_pfa(random.Random(seed), 2 + seed), 4) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_matches_a_plain_apply_loop(name):
+    build, maxlen = KERNEL_CASES[name]
+    m = build()
+    words = ["".join(p) for n in range(maxlen + 1) for p in product(m.alphabet, repeat=n)]
+    expected = [plain_value(m, w) for w in words]
+    got = list(prefix_values(m, maxlen))
+    assert got == list(zip(words, expected))
+    assert all(type(value) is Fraction for _, value in got)
+    for w in words[:: max(1, len(words) // 25)]:
+        assert run(m, w) == plain_trace(m, w)
+        assert accept_value(m, w) == plain_value(m, w)
+        if m.kind == "afa":
+            normalized = plain_trace(m, w, normalize=True)
+            assert accept_value_normalized(m, w) == sum(abs(normalized[k]) for k in m.accepting)
 
 
 # ------------------------------------------------- normalized evaluation

@@ -24,6 +24,18 @@ symbol a
 1 1
 """
 
+ZERO_MATRIX = """\
+kind afa
+states p q
+alphabet a
+initial p
+accepting p
+
+symbol a
+0 0
+0 0
+"""
+
 COUNTER = """\
 kind counters
 states only
@@ -106,6 +118,17 @@ def test_run_rejects_letters_outside_the_alphabet(m1_path):
     assert main(["run", m1_path, "--input", "xyz"]) == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--normalized"]])
+def test_run_zero_state_is_a_usage_error(tmp_path, capsys, flags):
+    path = tmp_path / "zero.afa"
+    path.write_text(ZERO_MATRIX)
+    assert main(["run", str(path), "--input", "a", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "zero vector" in captured.err
+
+
 def test_run_quantum_machine(tmp_path, m1_path, capsys):
     qpath = tmp_path / "q.qfa"
     assert main(["construct", "afa-to-nqfa", m1_path, "--out", str(qpath)]) == 0
@@ -178,6 +201,21 @@ def test_sweep_rejects_bad_cutpoint_text(m1_path):
     assert main(
         ["sweep", m1_path, "--cutpoint", "0.83", "--oracle", "eq", "--maxlen", "3"]
     ) == 2
+
+
+def test_sweep_zero_state_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "zero.afa"
+    path.write_text(ZERO_MATRIX.replace("alphabet a", "alphabet a b") + "\nsymbol b\n1 0\n0 1\n")
+    out = tmp_path / "report.tsv"
+    code = main(
+        ["sweep", str(path), "--cutpoint", "1/2", "--oracle", "eq", "--maxlen", "3", "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "zero vector" in captured.err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- construct

@@ -13,11 +13,13 @@ from afalib.exactnum import (
     ONE,
     basis_vector,
     direct_sum,
+    exact_state,
     kron,
     kron_vec,
     l1_norm,
     parse_rational,
     render_rational,
+    state_vector,
     validate_kind,
     vec,
     vec_sum,
@@ -187,3 +189,48 @@ def test_direct_sum_blocks():
     assert d.rows == 3
     assert d[0, 0] == ONE and d[1, 1] == Fraction(2)
     assert d[0, 1] == ZERO and d[2, 0] == ZERO
+
+
+# ------------------------------------------------------------ integer kernel
+
+
+def test_exact_state_is_reduced_over_a_positive_denominator():
+    assert exact_state(vec(["1/2", "-3/4", 0])) == ((2, -3, 0), 4)
+    assert exact_state(vec([2, -6])) == ((2, -6), 1)
+    assert exact_state(vec([0, 0])) == ((0, 0), 1)
+    assert state_vector(((2, -3, 0), 4)) == vec(["1/2", "-3/4", 0])
+
+
+def test_integer_form_keeps_nonzero_entries_over_one_denominator():
+    m = Mat([["1/2", 0, "-1/3"], [0, 0, 0], [2, 1, 0]])
+    assert m.integer_form() == (6, (((0, 3), (2, -2)), (), ((0, 12), (1, 6))))
+    assert m.integer_form() is m.integer_form()
+    assert m == Mat(m.tolists()) and hash(m) == hash(Mat(m.tolists()))
+
+
+def test_step_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Mat.identity(2).step(exact_state(vec([1, 0, 0])))
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # Integer entries give the matrix a unit common denominator.
+    entry = st.integers(-9, 9).map(Fraction) if draw(st.booleans()) else rationals
+    data = [
+        [ZERO] * cols if draw(st.booleans()) else draw(st.lists(entry, min_size=cols, max_size=cols))
+        for _ in range(rows)
+    ]
+    v = draw(st.lists(rationals, min_size=cols, max_size=cols))
+    return Mat(data), tuple(v)
+
+
+@given(matrices_and_vectors())
+def test_integer_step_equals_apply(case):
+    m, v = case
+    out = m.step(exact_state(v))
+    assert state_vector(out) == m.apply(v)
+    # The result is already canonical: the form exact_state would give it.
+    assert out == exact_state(m.apply(v))
+    assert out[1] > 0
