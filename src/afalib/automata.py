@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import (
     ZERO,
@@ -43,6 +44,49 @@ RESERVED_SYMBOLS = (CENT, DOLLAR)
 KINDS = ("dfa", "pfa", "afa")
 
 
+def _check_machine(machine, field: str, misfit: Callable[[str, object, int], str | None]) -> None:
+    """Normalize and check the fields every machine class shares.
+
+    ``field`` names the per-symbol table (``transitions`` or ``channels``),
+    which must cover the alphabet and both end-markers; ``misfit(sym,
+    entry, n)`` describes an entry that does not fit ``n`` states, or
+    returns None.
+    """
+    for name, convert in (("states", tuple), ("alphabet", tuple), (field, dict), ("accepting", frozenset)):
+        object.__setattr__(machine, name, convert(getattr(machine, name)))
+    if not machine.states:
+        raise ValueError("machines need at least one state")
+    if len(set(machine.states)) != len(machine.states):
+        raise ValueError("duplicate state names")
+    for sym in machine.alphabet:
+        if len(sym) != 1:
+            raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
+    if len(set(machine.alphabet)) != len(machine.alphabet):
+        raise ValueError("duplicate alphabet symbols")
+    table = getattr(machine, field)
+    expected = set(machine.alphabet) | set(RESERVED_SYMBOLS)
+    if set(table) != expected:
+        missing = expected - set(table)
+        extra = set(table) - expected
+        # "transition table" or "channel table"
+        raise ValueError(f"{field[:-1]} table mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+    n = len(machine.states)
+    for sym, entry in table.items():
+        error = misfit(sym, entry, n)
+        if error:
+            raise ValueError(error)
+    if not 0 <= machine.initial < n:
+        raise ValueError(f"initial state {machine.initial} out of range")
+    if not machine.accepting <= set(range(n)):
+        raise ValueError("accepting set contains unknown state indices")
+
+
+def _matrix_misfit(sym: str, mat: Mat, n: int) -> str | None:
+    if mat.rows == mat.cols == n:
+        return None
+    return f"matrix for {sym!r} is {mat.rows}x{mat.cols}, machine has {n} states"
+
+
 @dataclass(frozen=True)
 class ClassicalAutomaton:
     """A finite automaton with one exact transition matrix per symbol.
@@ -60,34 +104,9 @@ class ClassicalAutomaton:
     accepting: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
         if self.kind not in KINDS:
             raise ValueError(f"unknown machine kind {self.kind!r}")
-        if not self.states:
-            raise ValueError("machines need at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state names")
-        for sym in self.alphabet:
-            if len(sym) != 1:
-                raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("duplicate alphabet symbols")
-        expected = set(self.alphabet) | set(RESERVED_SYMBOLS)
-        if set(self.transitions) != expected:
-            missing = expected - set(self.transitions)
-            extra = set(self.transitions) - expected
-            raise ValueError(f"transition table mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        n = len(self.states)
-        for sym, mat in self.transitions.items():
-            if mat.rows != n or mat.cols != n:
-                raise ValueError(f"matrix for {sym!r} is {mat.rows}x{mat.cols}, machine has {n} states")
-        if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
-        if not self.accepting <= set(range(n)):
-            raise ValueError("accepting set contains unknown state indices")
+        _check_machine(self, "transitions", _matrix_misfit)
 
     @classmethod
     def build(
@@ -135,12 +154,11 @@ class ClassicalAutomaton:
         return out
 
 
-def _operators(machine: ClassicalAutomaton, w: str) -> list[Mat]:
-    """The matrices applied on reading ``cent + w + dollar``, in order."""
+def _operators(machine, table: Mapping, w: str) -> list:
+    """The entries of ``machine``'s ``table`` applied on reading ``cent + w + dollar``, in order."""
     for ch in w:
         if ch not in machine.alphabet:
             raise ValueError(f"symbol {ch!r} not in alphabet {machine.alphabet}")
-    table = machine.transitions
     return [table[CENT], *(table[ch] for ch in w), table[DOLLAR]]
 
 
@@ -150,7 +168,7 @@ def _initial(machine: ClassicalAutomaton) -> ExactState:
 
 def _final(machine: ClassicalAutomaton, w: str) -> ExactState:
     state = _initial(machine)
-    for mat in _operators(machine, w):
+    for mat in _operators(machine, machine.transitions, w):
         state = mat.step(state)
     return state
 
@@ -197,14 +215,33 @@ def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
     if machine.kind != "afa":
         raise ValueError("normalized semantics is defined for affine machines only")
     state = _initial(machine)
-    for mat in _operators(machine, w):
+    for mat in _operators(machine, machine.transitions, w):
         nums, _ = mat.step(state)
         # nums / den divided by its l1 norm, sum|nums| / den, is nums / sum|nums|.
         norm = _l1_numerator(nums)
         g = math.gcd(*nums, norm)
         state = tuple(x // g for x in nums), norm // g
-    nums, den = state
-    return Fraction(sum(abs(nums[k]) for k in machine.accepting), den)
+    return _readout(machine, state)
+
+
+def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tuple[str, object]]:
+    """Yield ``(w, readout(state of w))`` for every ``len(w) <= maxlen``.
+
+    ``start`` is the state of the empty string and ``children(state)``
+    the states one symbol on, in alphabet order. Strings come out in
+    length order, lexicographic within a length; each level of states is
+    built only when the generator reaches it.
+    """
+    if maxlen < 0:
+        raise ValueError("maxlen must be nonnegative")
+    level, length = [start], 0
+    while level:
+        for letters, state in zip(product(alphabet, repeat=length), level):
+            yield "".join(letters), readout(state)
+        if length == maxlen:
+            return
+        level = [child for state in level for child in children(state)]
+        length += 1
 
 
 def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[str, Fraction]]:
@@ -213,45 +250,39 @@ def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[st
     Strings come out in length order, lexicographic within a length
     following the machine's alphabet order; per-string results are
     identical to :func:`accept_value`. The paper's languages are counting
-    languages, so many strings reach the same state vector: each distinct
-    exact state is stepped once per symbol and read out once, and a
-    string costs one table lookup. Levels are built only as the
-    generator reaches them.
+    languages, so many strings reach the same state vector: steps and
+    readouts are cached per call by exact state, so each distinct state
+    is stepped once per symbol and read out once, and a string costs a
+    lookup. Levels are built only as the generator reaches them.
     """
-    if maxlen < 0:
-        raise ValueError("maxlen must be nonnegative")
-    dollar = machine.transitions[DOLLAR]
-    steps = [machine.transitions[sym] for sym in machine.alphabet]
-    index: dict[ExactState, int] = {}
-    states: list[ExactState] = []
-    values: list[Fraction] = []
-    successors: list[tuple[int, ...] | None] = []
+    table = machine.transitions
+    steps = [table[sym] for sym in machine.alphabet]
 
-    def intern(state: ExactState) -> int:
-        i = index.get(state)
-        if i is None:
-            i = index[state] = len(states)
-            states.append(state)
-            values.append(_readout(machine, dollar.step(state)))
-            successors.append(None)
-        return i
+    @cache
+    def children(state: ExactState) -> tuple[ExactState, ...]:
+        return tuple(mat.step(state) for mat in steps)
 
-    # level[i] is the state id of the i-th string of this length.
-    level = [intern(machine.transitions[CENT].step(_initial(machine)))]
-    length = 0
-    while level:
-        for letters, i in zip(product(machine.alphabet, repeat=length), level):
-            yield "".join(letters), values[i]
-        if length == maxlen:
-            return
-        grown: list[int] = []
-        for i in level:
-            row = successors[i]
-            if row is None:
-                row = successors[i] = tuple(intern(mat.step(states[i])) for mat in steps)
-            grown.extend(row)
-        level = grown
-        length += 1
+    @cache
+    def readout(state: ExactState) -> Fraction:
+        return _readout(machine, table[DOLLAR].step(state))
+
+    yield from _length_lex(machine.alphabet, maxlen, table[CENT].step(_initial(machine)), children, readout)
+
+
+def _check_partition(partition: Iterable[Iterable[int]], n: int) -> list[tuple[int, ...]]:
+    """The blocks of ``partition``, checked to be disjoint and to cover ``range(n)``."""
+    blocks = [tuple(block) for block in partition]
+    seen: set[int] = set()
+    for block in blocks:
+        for k in block:
+            if not 0 <= k < n:
+                raise ValueError(f"partition index {k} out of range")
+            if k in seen:
+                raise ValueError(f"partition blocks overlap at index {k}")
+            seen.add(k)
+    if seen != set(range(n)):
+        raise ValueError("partition does not cover every state index")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -283,17 +314,7 @@ def weigh_partition(
     scaled so they sum to one, which keeps it a valid affine state.
     """
     n = len(v)
-    blocks = [tuple(block) for block in partition]
-    seen: set[int] = set()
-    for block in blocks:
-        for k in block:
-            if not 0 <= k < n:
-                raise ValueError(f"partition index {k} out of range")
-            if k in seen:
-                raise ValueError(f"partition blocks overlap at index {k}")
-            seen.add(k)
-    if seen != set(range(n)):
-        raise ValueError("partition does not cover every state index")
+    blocks = _check_partition(partition, n)
     total = l1_norm(v)
     if total == 0:
         raise ValueError("cannot weigh the zero vector")
@@ -346,3 +367,39 @@ def dfa_automaton(
     if initial not in index:
         raise ValueError(f"unknown initial state {initial!r}")
     return ClassicalAutomaton.build("dfa", states, tuple(alphabet), transitions, index[initial], acc)
+
+
+@dataclass(frozen=True)
+class CounterMachineSpec:
+    """A deterministic controller plus blind integer counters.
+
+    ``increments`` maps every (dfa state index, alphabet symbol) pair to
+    the integer deltas applied to the counters while reading that symbol
+    in that state; the counters never influence control flow. ``scale``
+    is the rational step size used by the affine compilation and must be
+    at least 1.
+    """
+
+    dfa: ClassicalAutomaton
+    counters: int
+    increments: Mapping[tuple[int, str], tuple[int, ...]]
+    scale: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", Fraction(self.scale))
+        if self.dfa.kind != "dfa":
+            raise ValueError("the controller must be a deterministic machine")
+        if self.counters < 1:
+            raise ValueError("need at least one counter")
+        if self.scale < 1:
+            raise ValueError(f"scale must be at least 1, got {self.scale}")
+        expected = {(q, sym) for q in range(self.dfa.size) for sym in self.dfa.alphabet}
+        if set(self.increments) != expected:
+            raise ValueError("increments must cover exactly every (state, symbol) pair")
+        fixed = {}
+        for key, deltas in self.increments.items():
+            deltas = tuple(int(d) for d in deltas)
+            if len(deltas) != self.counters:
+                raise ValueError(f"increment vector for {key!r} has length {len(deltas)}")
+            fixed[key] = deltas
+        object.__setattr__(self, "increments", fixed)

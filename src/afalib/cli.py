@@ -23,7 +23,6 @@ from .fileformat import (
     dumps_automaton,
     load_automaton,
     load_counter_spec,
-    save_automaton,
 )
 from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_accept, qfa_final_density
 from .recognition import BUILTIN_ORACLES, SweepReport, dfa_oracle, sweep
@@ -37,6 +36,16 @@ def _rational_arg(text: str) -> Fraction:
         return parse_rational(text)
     except RationalParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _kappa_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"kappa must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _render_value(value, kappa: float) -> str:
@@ -68,27 +77,21 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     machine = load_automaton(args.path)
     w = args.input
-    if isinstance(machine, QuantumAutomaton):
-        if args.normalized:
-            print("error: --normalized applies to affine machines only", file=sys.stderr)
-            return USAGE_ERROR
-        rho = qfa_final_density(machine, w)
-        value = qfa_accept(machine, w)
-        print("final " + " ".join(_render_value(float(p), args.kappa) for p in rho.diagonal()))
-        print("value " + _render_value(value, args.kappa))
-        return 0
+    quantum = isinstance(machine, QuantumAutomaton)
     if args.normalized:
-        if machine.kind != "afa":
+        if quantum or machine.kind != "afa":
             print("error: --normalized applies to affine machines only", file=sys.stderr)
             return USAGE_ERROR
-        value = accept_value_normalized(machine, w)
-        print("value " + render_rational(value))
+        print("value " + render_rational(accept_value_normalized(machine, w)))
         return 0
     # Both before any output, so a failing readout leaves stdout empty.
-    final = run(machine, w)
-    value = accept_value(machine, w)
-    print("final " + " ".join(render_rational(x) for x in final))
-    print("value " + render_rational(value))
+    if quantum:
+        final = [float(p) for p in qfa_final_density(machine, w).diagonal()]
+        value = qfa_accept(machine, w)
+    else:
+        final, value = run(machine, w), accept_value(machine, w)
+    print("final " + " ".join(_render_value(x, args.kappa) for x in final))
+    print("value " + _render_value(value, args.kappa))
     return 0
 
 
@@ -136,12 +139,7 @@ def cmd_sweep(args) -> int:
     machine = load_automaton(args.path)
     oracle = _resolve_oracle(args.oracle)
     report = sweep(machine, args.cutpoint, args.mode, oracle, args.maxlen, args.kappa)
-    text = render_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render_report(report), args.out)
     return 0 if report.ok else CLAIM_FAILED
 
 
@@ -184,7 +182,7 @@ def cmd_construct(args) -> int:
         result = constructions.compile_blind_counters(load_counter_spec(inputs[0]))
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(kind)
-    _write_machine(result, args.out)
+    _write(dumps_automaton(result), args.out)
     return 0
 
 
@@ -198,15 +196,16 @@ def cmd_zoo(args) -> int:
     elif args.x is not None:
         print(f"error: --x applies to m2_eq only, not {args.name}", file=sys.stderr)
         return USAGE_ERROR
-    _write_machine(constructions.zoo(args.name, **params), args.out)
+    _write(dumps_automaton(constructions.zoo(args.name, **params)), args.out)
     return 0
 
 
-def _write_machine(machine, out) -> None:
+def _write(text: str, out) -> None:
     if out:
-        save_automaton(machine, out)
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
-        sys.stdout.write(dumps_automaton(machine))
+        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a machine file's matrix invariants")
     p.add_argument("path")
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("run", help="evaluate one input string")
     p.add_argument("path")
     p.add_argument("--input", default="", help="input string (default: empty)")
     p.add_argument("--normalized", action="store_true", help="use the renormalizing affine semantics")
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="compare a machine against an oracle on all short strings")
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=recognition.MODES, default="cutpoint")
     p.add_argument("--oracle", required=True, help="eq, lapins, abseq, or a dfa file path")
     p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(fn=cmd_sweep)
 

@@ -9,13 +9,12 @@ docstring holds with equality over the rationals, not just numerically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .automata import CENT, DOLLAR, ClassicalAutomaton
+from .automata import CENT, DOLLAR, ClassicalAutomaton, CounterMachineSpec
 from .exactnum import ONE, ZERO, Mat, basis_vector, direct_sum, kron
 from .quantum import QuantumAutomaton, Superoperator
 
@@ -103,36 +102,39 @@ def abs_eq() -> ClassicalAutomaton:
     )
 
 
+# Both lapins trackers hold (constant 1, 2t+1, t^2, counter, balance) on
+# five states for one squared count t. The balance state absorbs whatever
+# keeps each column summing to 1. The squaring step uses the recurrence
+# (1, 2t+1, t^2) -> (1, 2t+3, (t+1)^2), seeded by the cent matrix which
+# turns the initial basis vector into (1, 1, 0, 0, -1).
+_LAPINS_SQUARE = Mat(
+    [
+        [1, 0, 0, 0, 0],
+        [2, 1, 0, 0, 0],
+        [0, 1, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [-2, -1, 0, 0, 1],
+    ]
+)
+_LAPINS_CENT = Mat(
+    [
+        [1, 0, 0, 0, 0],
+        [1, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [-1, 0, 0, 0, 1],
+    ]
+)
+
+
 def _lapins_left() -> ClassicalAutomaton:
-    # Tracks (x^2, y) for x = |w|_a, y = |w|_b on five states:
-    # (constant 1, 2x+1, x^2, y, balance). The balance state absorbs
-    # whatever keeps each column summing to 1. The squaring step uses the
-    # recurrence (1, 2x+1, x^2) -> (1, 2x+3, (x+1)^2), seeded by the cent
-    # matrix which turns the initial basis vector into (1, 1, 0, 0, -1).
-    square = Mat(
-        [
-            [1, 0, 0, 0, 0],
-            [2, 1, 0, 0, 0],
-            [0, 1, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [-2, -1, 0, 0, 1],
-        ]
-    )
+    # Tracks (x^2, y) for x = |w|_a, y = |w|_b: a squares, b counts.
     count = Mat(
         [
             [1, 0, 0, 0, 0],
             [0, 1, 0, 0, 0],
             [0, 0, 1, 0, 0],
             [1, 0, 0, 1, 0],
-            [-1, 0, 0, 0, 1],
-        ]
-    )
-    cent = Mat(
-        [
-            [1, 0, 0, 0, 0],
-            [1, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
             [-1, 0, 0, 0, 1],
         ]
     )
@@ -152,22 +154,13 @@ def _lapins_left() -> ClassicalAutomaton:
         "afa",
         ("one", "lin", "sq", "cnt", "bal"),
         ("a", "b", "c"),
-        {"a": square, "b": count, "c": Mat.identity(5), CENT: cent, DOLLAR: dollar},
+        {"a": _LAPINS_SQUARE, "b": count, "c": Mat.identity(5), CENT: _LAPINS_CENT, DOLLAR: dollar},
         0,
     )
 
 
 def _lapins_right() -> ClassicalAutomaton:
     # Tracks (y^2, -z) the same way: squaring driven by b, decrement by c.
-    square = Mat(
-        [
-            [1, 0, 0, 0, 0],
-            [2, 1, 0, 0, 0],
-            [0, 1, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [-2, -1, 0, 0, 1],
-        ]
-    )
     decrement = Mat(
         [
             [1, 0, 0, 0, 0],
@@ -175,15 +168,6 @@ def _lapins_right() -> ClassicalAutomaton:
             [0, 0, 1, 0, 0],
             [-1, 0, 0, 1, 0],
             [1, 0, 0, 0, 1],
-        ]
-    )
-    cent = Mat(
-        [
-            [1, 0, 0, 0, 0],
-            [1, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [-1, 0, 0, 0, 1],
         ]
     )
     # Reshape (1, 2y+1, y^2, -z, balance) into (y^2-z, 1-y^2+z, 0, 0, 0).
@@ -200,7 +184,7 @@ def _lapins_right() -> ClassicalAutomaton:
         "afa",
         ("one", "lin", "sq", "neg", "bal"),
         ("a", "b", "c"),
-        {"a": Mat.identity(5), "b": square, "c": decrement, CENT: cent, DOLLAR: dollar},
+        {"a": Mat.identity(5), "b": _LAPINS_SQUARE, "c": decrement, CENT: _LAPINS_CENT, DOLLAR: dollar},
         0,
     )
 
@@ -238,12 +222,7 @@ def lapins() -> ClassicalAutomaton:
     route(6, [(2, ONE)])          # y (1 - y^2 + z), together just y
     route(10, [(3, half), (4, half)])  # (1 - x^2 - y)(y^2 - z), split into the twin pads
     route(11, [(3, half), (4, half)])  # (1 - x^2 - y)(1 - y^2 + z)
-    rearrange = Mat.from_cols(cols)
-    transitions = dict(product.transitions)
-    transitions[DOLLAR] = rearrange @ transitions[DOLLAR]
-    return ClassicalAutomaton.build(
-        "afa", product.states, product.alphabet, transitions, product.initial, {0, 3}
-    )
+    return _append_stage(product, (), Mat.from_cols(cols), {0, 3})
 
 
 ZOO_NAMES = ("m1_eq", "m2_eq", "lapins", "abs_eq")
@@ -264,6 +243,16 @@ def zoo(name: str, **params) -> ClassicalAutomaton:
 
 # ---------------------------------------------------------------------------
 # products and cutpoint surgery
+
+
+def _append_stage(machine: ClassicalAutomaton, extra_states, stage: Mat, accepting) -> ClassicalAutomaton:
+    """Affine machine running ``machine`` with ``extra_states`` idle beside
+    it, then ``stage`` after its dollar matrix."""
+    k = len(extra_states)
+    transitions = {sym: direct_sum(mat, Mat.identity(k)) if k else mat for sym, mat in machine.transitions.items()}
+    transitions[DOLLAR] = stage @ transitions[DOLLAR]
+    states = machine.states + tuple(extra_states)
+    return ClassicalAutomaton.build("afa", states, machine.alphabet, transitions, machine.initial, accepting)
 
 
 def tensor(m1: ClassicalAutomaton, m2: ClassicalAutomaton) -> ClassicalAutomaton:
@@ -314,17 +303,7 @@ def shift_interior(machine: ClassicalAutomaton, lam1, lam2) -> ClassicalAutomato
         cols.append(col)
     cols.append(list(basis_vector(n + 2, n)))
     cols.append(list(basis_vector(n + 2, n + 1)))
-    rescale = Mat.from_cols(cols)
-    transitions = {
-        sym: direct_sum(machine.transitions[sym], Mat.identity(2))
-        for sym in (*machine.alphabet, CENT, DOLLAR)
-    }
-    transitions[DOLLAR] = rescale @ transitions[DOLLAR]
-    states = machine.states + ("pad.acc", "pad.rej")
-    return ClassicalAutomaton.build(
-        "afa", states, machine.alphabet, transitions, machine.initial,
-        machine.accepting | {n},
-    )
+    return _append_stage(machine, ("pad.acc", "pad.rej"), Mat.from_cols(cols), machine.accepting | {n})
 
 
 def shift_extreme(machine: ClassicalAutomaton, side: str, lam) -> ClassicalAutomaton:
@@ -364,17 +343,9 @@ def shift_extreme(machine: ClassicalAutomaton, side: str, lam) -> ClassicalAutom
         col[j] = keep
         col[n + i] = move
         cols[j] = col
-    split = Mat.from_cols(cols)
-    transitions = {
-        sym: direct_sum(machine.transitions[sym], Mat.identity(k))
-        for sym in (*machine.alphabet, CENT, DOLLAR)
-    }
-    transitions[DOLLAR] = split @ transitions[DOLLAR]
-    states = machine.states + tuple(f"{machine.states[j]}.{suffix}" for j in targets)
+    partners = tuple(f"{machine.states[j]}.{suffix}" for j in targets)
     accepting = machine.accepting | set(range(n, n + k)) if side == "zero" else machine.accepting
-    return ClassicalAutomaton.build(
-        "afa", states, machine.alphabet, transitions, machine.initial, accepting
-    )
+    return _append_stage(machine, partners, Mat.from_cols(cols), accepting)
 
 
 def exclusive_pfa_to_nafa(machine: ClassicalAutomaton) -> ClassicalAutomaton:
@@ -389,27 +360,17 @@ def exclusive_pfa_to_nafa(machine: ClassicalAutomaton) -> ClassicalAutomaton:
     """
     if machine.kind not in ("pfa", "dfa"):
         raise ValueError("the exclusive construction starts from a probabilistic machine")
-    states = machine.states
-    transitions = dict(machine.transitions)
-    n = machine.size
-    if n < 2:
-        transitions = {sym: direct_sum(mat, Mat.identity(1)) for sym, mat in transitions.items()}
-        states = states + ("pad",)
-        n += 1
-    accepting = machine.accepting
+    n = max(machine.size, 2)
     collect_cols = []
     for j in range(n):
         col = [ZERO] * n
-        col[1 if j in accepting else 0] = ONE
+        col[1 if j in machine.accepting else 0] = ONE
         collect_cols.append(col)
     collect = Mat.from_cols(collect_cols)
     fold = Mat([[1, -1], [0, 2]])
     if n > 2:
         fold = direct_sum(fold, Mat.identity(n - 2))
-    transitions[DOLLAR] = fold @ collect @ transitions[DOLLAR]
-    return ClassicalAutomaton.build(
-        "afa", states, machine.alphabet, transitions, machine.initial, {0}
-    )
+    return _append_stage(machine, ("pad",) * (n - machine.size), fold @ collect, {0})
 
 
 # ---------------------------------------------------------------------------
@@ -491,43 +452,6 @@ def afa_to_nqfa(machine: ClassicalAutomaton) -> QuantumAutomaton:
 
 # ---------------------------------------------------------------------------
 # blind counters
-
-
-@dataclass(frozen=True)
-class CounterMachineSpec:
-    """A deterministic controller plus blind integer counters.
-
-    ``increments`` maps every (dfa state index, alphabet symbol) pair to
-    the integer deltas applied to the counters while reading that symbol
-    in that state; the counters never influence control flow. ``scale``
-    is the rational step size used by the affine compilation and must be
-    at least 1.
-    """
-
-    dfa: ClassicalAutomaton
-    counters: int
-    increments: Mapping[tuple[int, str], tuple[int, ...]]
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "increments", dict(self.increments))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.dfa.kind != "dfa":
-            raise ValueError("the controller must be a deterministic machine")
-        if self.counters < 1:
-            raise ValueError("need at least one counter")
-        if self.scale < 1:
-            raise ValueError(f"scale must be at least 1, got {self.scale}")
-        expected = {(q, sym) for q in range(self.dfa.size) for sym in self.dfa.alphabet}
-        if set(self.increments) != expected:
-            raise ValueError("increments must cover exactly every (state, symbol) pair")
-        fixed = {}
-        for key, deltas in self.increments.items():
-            deltas = tuple(int(d) for d in deltas)
-            if len(deltas) != self.counters:
-                raise ValueError(f"increment vector for {key!r} has length {len(deltas)}")
-            fixed[key] = deltas
-        object.__setattr__(self, "increments", fixed)
 
 
 def _counter_gadget(delta: int, scale: Fraction) -> Mat:

@@ -35,11 +35,11 @@ SYMBOL d1 .. dk`` lines; see :func:`loads_counter_spec`.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Union
 
-from .automata import CENT, DOLLAR, KINDS, ClassicalAutomaton
-from .constructions import CounterMachineSpec
+from .automata import CENT, DOLLAR, KINDS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
 from .exactnum import Mat, parse_rational, render_rational
 from .quantum import QuantumAutomaton, Superoperator
 
@@ -101,28 +101,23 @@ def _state_indices(header, path_hint: str):
     return states, index[initial_name], accepting
 
 
-def _rational_row(tokens, width, lineno, path_hint):
+def _row(tokens, width, lineno, path_hint, entry):
     if len(tokens) != width:
         raise FormatError(f"{path_hint}:{lineno}: expected {width} entries, got {len(tokens)}")
     try:
-        return [parse_rational(tok) for tok in tokens]
+        return [entry(tok) for tok in tokens]
     except ValueError as exc:
         raise FormatError(f"{path_hint}:{lineno}: {exc}") from None
 
 
-def _float_row(tokens, width, lineno, path_hint):
-    if len(tokens) != width:
-        raise FormatError(f"{path_hint}:{lineno}: expected {width} entries, got {len(tokens)}")
-    out = []
-    for tok in tokens:
-        try:
-            value = float(tok)
-        except ValueError:
-            raise FormatError(f"{path_hint}:{lineno}: not a float: {tok!r}") from None
-        if value != value or value in (float("inf"), float("-inf")):
-            raise FormatError(f"{path_hint}:{lineno}: non-finite entry {tok!r}")
-        out.append(value)
-    return out
+def _float_entry(tok: str) -> float:
+    try:
+        value = float(tok)
+    except ValueError:
+        raise ValueError(f"not a float: {tok!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite entry {tok!r}")
+    return value
 
 
 def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
@@ -173,7 +168,7 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
     for sym, body in sections.items():
         if len(body) != n:
             raise FormatError(f"{path_hint}: matrix for {sym!r} needs {n} rows, got {len(body)}")
-        rows = [_rational_row(tokens, n, lineno, path_hint) for lineno, tokens in body]
+        rows = [_row(tokens, n, lineno, path_hint, parse_rational) for lineno, tokens in body]
         transitions[sym] = Mat(rows)
     return ClassicalAutomaton.build(kind, states, alphabet, transitions, initial, accepting)
 
@@ -189,7 +184,7 @@ def _parse_channel(body, n, path_hint) -> Superoperator:
         else:
             if rows is None:
                 raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'element' line")
-            rows.append(_float_row(tokens, n, lineno, path_hint))
+            rows.append(_row(tokens, n, lineno, path_hint, _float_entry))
     if rows is not None:
         elements.append(rows)
     if not elements:
@@ -211,35 +206,25 @@ def dumps_automaton(machine: Machine) -> str:
     Round-trips exactly: classical entries print as lowest-term
     rationals, quantum entries with full float precision.
     """
-    lines = []
-    kind = "qfa" if isinstance(machine, QuantumAutomaton) else machine.kind
-    lines.append(f"kind {kind}")
+    quantum = isinstance(machine, QuantumAutomaton)
+    lines = [f"kind {'qfa' if quantum else machine.kind}"]
     lines.append("states " + " ".join(machine.states))
     lines.append("alphabet " + " ".join(machine.alphabet))
     lines.append(f"initial {machine.states[machine.initial]}")
     lines.append(("accepting " + " ".join(machine.states[k] for k in sorted(machine.accepting))).rstrip())
-    if isinstance(machine, QuantumAutomaton):
-        identity = Superoperator.identity(machine.size)
-        for sym in (*machine.alphabet, CENT, DOLLAR):
-            channel = machine.channels[sym]
-            if sym in (CENT, DOLLAR) and channel == identity:
-                continue
-            lines.append("")
-            lines.append(f"symbol {sym}")
-            for element in channel.elements:
+    table = machine.channels if quantum else machine.transitions
+    identity = (Superoperator if quantum else Mat).identity(machine.size)
+    for sym in (*machine.alphabet, CENT, DOLLAR):
+        entry = table[sym]
+        if sym in (CENT, DOLLAR) and entry == identity:
+            continue
+        lines += ["", f"symbol {sym}"]
+        if quantum:
+            for element in entry.elements:
                 lines.append("element")
-                for row in element:
-                    lines.append(" ".join(repr(float(x)) for x in row))
-    else:
-        identity = Mat.identity(machine.size)
-        for sym in (*machine.alphabet, CENT, DOLLAR):
-            mat = machine.transitions[sym]
-            if sym in (CENT, DOLLAR) and mat == identity:
-                continue
-            lines.append("")
-            lines.append(f"symbol {sym}")
-            for row in mat.data:
-                lines.append(" ".join(render_rational(x) for x in row))
+                lines.extend(" ".join(repr(float(x)) for x in row) for row in element)
+        else:
+            lines.extend(" ".join(render_rational(x) for x in row) for row in entry.data)
     return "\n".join(lines) + "\n"
 
 
@@ -257,8 +242,6 @@ def loads_counter_spec(text: str, path_hint: str = "<string>") -> CounterMachine
     and one ``increment STATE SYMBOL d1 .. dK`` line per pair; both
     tables must be total.
     """
-    from .automata import dfa_automaton
-
     lines = _logical_lines(text)
     if not lines:
         raise FormatError(f"{path_hint}: empty file")

@@ -9,12 +9,13 @@ validity and float comparisons use the ``DEFAULT_KAPPA`` tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .automata import CENT, DOLLAR, RESERVED_SYMBOLS
+from .automata import CENT, DOLLAR, _check_machine, _check_partition, _length_lex, _operators
 
 DEFAULT_KAPPA = 1e-9
 
@@ -119,6 +120,12 @@ def density_defects(rho: np.ndarray, kappa: float = DEFAULT_KAPPA) -> list[str]:
     return out
 
 
+def _channel_misfit(sym: str, channel: Superoperator, n: int) -> str | None:
+    if channel.dim == n:
+        return None
+    return f"channel for {sym!r} has dimension {channel.dim}, machine has {n} states"
+
+
 @dataclass(frozen=True)
 class QuantumAutomaton:
     """A finite automaton whose symbols apply superoperator channels."""
@@ -130,32 +137,7 @@ class QuantumAutomaton:
     accepting: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "channels", dict(self.channels))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        if not self.states:
-            raise ValueError("machines need at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state names")
-        for sym in self.alphabet:
-            if len(sym) != 1:
-                raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("duplicate alphabet symbols")
-        expected = set(self.alphabet) | set(RESERVED_SYMBOLS)
-        if set(self.channels) != expected:
-            missing = expected - set(self.channels)
-            extra = set(self.channels) - expected
-            raise ValueError(f"channel table mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        n = len(self.states)
-        for sym, channel in self.channels.items():
-            if channel.dim != n:
-                raise ValueError(f"channel for {sym!r} has dimension {channel.dim}, machine has {n} states")
-        if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
-        if not self.accepting <= set(range(n)):
-            raise ValueError("accepting set contains unknown state indices")
+        _check_machine(self, "channels", _channel_misfit)
 
     @classmethod
     def build(
@@ -186,17 +168,11 @@ class QuantumAutomaton:
         return out
 
 
-def _symbol_channel(machine: QuantumAutomaton, sym: str) -> Superoperator:
-    if sym not in machine.channels or (sym not in machine.alphabet and sym not in RESERVED_SYMBOLS):
-        raise ValueError(f"symbol {sym!r} not in alphabet {machine.alphabet}")
-    return machine.channels[sym]
-
-
 def qfa_final_density(machine: QuantumAutomaton, w: str) -> np.ndarray:
     """Density matrix after reading ``cent + w + dollar``."""
     rho = basis_density(machine.size, machine.initial)
-    for sym in (CENT, *w, DOLLAR):
-        rho = apply_channel(_symbol_channel(machine, sym), rho)
+    for channel in _operators(machine, machine.channels, w):
+        rho = apply_channel(channel, rho)
     return rho
 
 
@@ -216,20 +192,25 @@ def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
 
 
 def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[str, float]]:
-    """Quantum twin of :func:`afalib.automata.prefix_values`, same ordering."""
-    if maxlen < 0:
-        raise ValueError("maxlen must be nonnegative")
-    dollar = machine.channels[DOLLAR]
-    start = apply_channel(machine.channels[CENT], basis_density(machine.size, machine.initial))
-    frontier: list[tuple[str, np.ndarray]] = [("", start)]
-    while frontier:
-        grown = []
-        for w, rho in frontier:
-            yield w, _accept_from_density(machine, apply_channel(dollar, rho))
-            if len(w) < maxlen:
-                for sym in machine.alphabet:
-                    grown.append((w + sym, apply_channel(machine.channels[sym], rho)))
-        frontier = grown
+    """Quantum twin of :func:`afalib.automata.prefix_values`, same ordering.
+
+    Per-string values equal :func:`qfa_accept` exactly, float for float.
+    Unlike the exact lane nothing is cached by state: float densities
+    almost never repeat bit for bit (the 32,767, 8,191 and 3,280 strings
+    of the ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and
+    ``lapins`` to lengths 14, 12 and 7 reach as many distinct densities),
+    so a table keyed by density would only cost memory. Each string's
+    density is stepped once from its parent's.
+    """
+    channels = machine.channels
+    steps = [channels[sym] for sym in machine.alphabet]
+    yield from _length_lex(
+        machine.alphabet,
+        maxlen,
+        apply_channel(channels[CENT], basis_density(machine.size, machine.initial)),
+        lambda rho: [apply_channel(channel, rho) for channel in steps],
+        lambda rho: _accept_from_density(machine, apply_channel(channels[DOLLAR], rho)),
+    )
 
 
 def projective_measure(
@@ -244,17 +225,7 @@ def projective_measure(
     """
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[0]
-    blocks = [tuple(b) for b in blocks]
-    seen: set[int] = set()
-    for block in blocks:
-        for k in block:
-            if not 0 <= k < n:
-                raise ValueError(f"partition index {k} out of range")
-            if k in seen:
-                raise ValueError(f"partition blocks overlap at index {k}")
-            seen.add(k)
-    if seen != set(range(n)):
-        raise ValueError("partition does not cover every state index")
+    blocks = _check_partition(blocks, n)
     out = []
     for block in blocks:
         mask = np.zeros(n, dtype=bool)
@@ -269,10 +240,7 @@ def projective_measure(
 
 
 def leaf_count(machine: QuantumAutomaton, w: str) -> int:
-    total = 1
-    for sym in (CENT, *w, DOLLAR):
-        total *= len(_symbol_channel(machine, sym).elements)
-    return total
+    return math.prod(len(channel.elements) for channel in _operators(machine, machine.channels, w))
 
 
 def leaf_vectors(
@@ -289,9 +257,8 @@ def leaf_vectors(
     if total > cap:
         raise ValueError(f"evaluation tree has {total} leaves, above the cap of {cap}")
     vectors = [np.eye(machine.size)[:, machine.initial].copy()]
-    for sym in (CENT, *w, DOLLAR):
-        elements = _symbol_channel(machine, sym).elements
-        vectors = [e @ v for v in vectors for e in elements]
+    for channel in _operators(machine, machine.channels, w):
+        vectors = [e @ v for v in vectors for e in channel.elements]
     return vectors
 
 

@@ -16,12 +16,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
 
 from .automata import ClassicalAutomaton, accept_value, prefix_values
-from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_accept, qfa_prefix_values
+from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_prefix_values
 
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
 Value = Union[Fraction, float]
 
 MODES = ("cutpoint", "exclusive", "equality", "nondet", "isolation")
+
+#: Refuse sweeps over more strings than this; a sweep keeps one record per string.
+SWEEP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,17 @@ def enumerate_strings(alphabet: Iterable[str], maxlen: int) -> Iterator[str]:
     for length in range(maxlen + 1):
         for combo in itertools.product(alphabet, repeat=length):
             yield "".join(combo)
+
+
+def _corpus_size(symbols: int, maxlen: int) -> int:
+    """Strings of length at most ``maxlen``, counted only until the sum passes SWEEP_CAP."""
+    total, level = 0, 1
+    for _ in range(maxlen + 1):
+        total += level
+        level *= symbols
+        if total > SWEEP_CAP or not level:
+            break
+    return total
 
 
 def _sign(value: Value, cutpoint: Fraction, kappa: float) -> int | None:
@@ -175,13 +189,19 @@ def sweep(
     ``nondet`` value > 0 (the cutpoint argument is ignored), and
     ``isolation`` behaves like ``cutpoint`` while the report's extremes
     certify the gap. Strings are processed in length-lexicographic order
-    and the report is deterministic.
+    and the report is deterministic. A corpus of more than
+    :data:`SWEEP_CAP` strings raises ``ValueError`` before any string is
+    evaluated.
     """
     if mode not in MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; choose from {MODES}")
     if set(machine.alphabet) != set(oracle.alphabet):
         raise ValueError(
             f"alphabet mismatch: machine {machine.alphabet} vs oracle {oracle.alphabet}"
+        )
+    if _corpus_size(len(machine.alphabet), maxlen) > SWEEP_CAP:
+        raise ValueError(
+            f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
         )
     cutpoint = Fraction(0) if mode == "nondet" else Fraction(cutpoint)
     records = []

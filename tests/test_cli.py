@@ -4,13 +4,15 @@ Everything goes through ``main`` so the tests see exactly what a shell
 user sees: exit codes, stdout text and stderr diagnostics.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from afalib.cli import main
-from afalib.constructions import m1_eq
+from afalib.cli import main, render_report
+from afalib.constructions import abs_eq, lapins, m1_eq, m2_eq
 from afalib.fileformat import dumps_automaton, load_automaton, loads_counter_spec
+from afalib.recognition import BUILTIN_ORACLES, sweep
 
 BAD_COLUMN = """\
 kind afa
@@ -173,6 +175,26 @@ def test_sweep_report_is_byte_deterministic(m1_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+GOLDEN_REPORTS = [
+    (m1_eq, "5/6", "isolation", "eq", 12, "8a58b060f3608d1b0931b15d1127e8142c8338cf1a16128fe419af168e62bd0b"),
+    (lambda: m2_eq(x=3), "1/2", "cutpoint", "eq", 11, "8b37af6ffacf849d1708ee06cdd59689cc91ad64d10cf404e6e1a24fc0c0ea89"),
+    (abs_eq, "1/2", "equality", "abseq", 10, "c7cb24ce23392cfe49f49132f032068bdd06e16ae2e84ca8fcc5b16ead37ef53"),
+    (lapins, "1/2", "cutpoint", "lapins", 6, "a21559e46a14770409cad464382d8ca87c80e7811fce4f6e57a980a33c8423df"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, cutpoint, mode, oracle, maxlen, digest",
+    GOLDEN_REPORTS,
+    ids=["m1_eq", "m2_eq", "abs_eq", "lapins"],
+)
+def test_sweep_reports_match_their_golden_digests(build, cutpoint, mode, oracle, maxlen, digest):
+    # Pinned digests: any change to a value, a verdict or the report
+    # layout shows here.
+    report = sweep(build(), Fraction(cutpoint), mode, BUILTIN_ORACLES[oracle](), maxlen)
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
+
+
 def test_sweep_oracle_can_be_a_dfa_file(tmp_path, capsys):
     dfa = tmp_path / "parity.dfa"
     dfa.write_text(
@@ -315,6 +337,38 @@ def test_zoo_m2_with_scale_runs(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- usage
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{qfa}"],
+        ["run", "{qfa}", "--input", "ab"],
+        ["sweep", "{qfa}", "--cutpoint", "0", "--mode", "nondet", "--oracle", "eq", "--maxlen", "3"],
+    ],
+    ids=["validate", "run", "sweep"],
+)
+def test_kappa_must_be_finite_and_nonnegative(tmp_path, m1_path, capsys, command, kappa):
+    qfa = tmp_path / "m1.qfa"
+    assert main(["construct", "afa-to-nqfa", m1_path, "--out", str(qfa)]) == 0
+    argv = [part.format(qfa=qfa) for part in command]
+    assert main([*argv, f"--kappa={kappa}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--kappa" in captured.err and "Traceback" not in captured.err
+    assert main([*argv, "--kappa=0"]) in (0, 1)
+
+
+def test_sweep_above_the_cap_is_a_usage_error(m1_path, capsys):
+    code = main(
+        ["sweep", m1_path, "--cutpoint", "5/6", "--oracle", "eq", "--maxlen", "1000000000"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "more than 1000000 strings" in captured.err
 
 
 def test_no_arguments_is_a_usage_error(capsys):

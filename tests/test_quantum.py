@@ -1,10 +1,13 @@
 """Tests for superoperator channels and the quantum machine semantics."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from afalib.automata import prefix_values
+from afalib.constructions import afa_to_nqfa, m1_eq
 from afalib.quantum import (
     QuantumAutomaton,
     Superoperator,
@@ -170,6 +173,32 @@ def test_qfa_prefix_values_match_direct_evaluation():
     m = random_qfa(rng)
     for w, value in qfa_prefix_values(m, 3):
         assert value == pytest.approx(qfa_accept(m, w), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "machine, maxlen",
+    [(afa_to_nqfa(m1_eq()), 6), (random_qfa(np.random.default_rng(11), n=3, elements=2), 5)],
+    ids=["afa_to_nqfa(m1_eq)", "random_qfa"],
+)
+def test_qfa_prefix_values_equal_qfa_accept_bit_for_bit(machine, maxlen):
+    # Same channels in the same order from the same start: no float may differ.
+    rows = list(qfa_prefix_values(machine, maxlen))
+    assert [w for w, _ in rows] == ["".join(p) for n in range(maxlen + 1) for p in product("ab", repeat=n)]
+    for w, value in rows:
+        assert value == qfa_accept(machine, w)
+
+
+def test_qfa_prefix_values_stays_lazy():
+    values = qfa_prefix_values(afa_to_nqfa(m1_eq()), 10**6)
+    assert next(values)[0] == ""
+    assert next(values)[0] == "a"
+
+
+def test_prefix_values_reject_negative_maxlen_in_both_lanes():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(prefix_values(m1_eq(), -1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(qfa_prefix_values(afa_to_nqfa(m1_eq()), -1))
 
 
 # ----------------------------------------------------------- leaf vectors

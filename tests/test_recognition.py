@@ -13,6 +13,7 @@ from afalib.recognition import (
     BUILTIN_ORACLES,
     LanguageOracle,
     MODES,
+    SWEEP_CAP,
     dfa_oracle,
     enumerate_strings,
     equivalence_check,
@@ -145,6 +146,29 @@ def test_sweep_validates_mode_and_alphabet():
     foreign = LanguageOracle("other", ("x", "y"), lambda w: True)
     with pytest.raises(ValueError):
         sweep(m1_eq(), Fraction(1, 2), "cutpoint", foreign, 3)
+
+
+def test_sweep_refuses_corpora_above_the_cap_before_evaluating():
+    def untouchable(w):
+        raise AssertionError("no string may be evaluated")
+
+    unary = ClassicalAutomaton.build("dfa", ("p",), ("a",), {"a": Mat.identity(1)}, 0, (0,))
+    oracle = LanguageOracle("any", ("a",), untouchable)
+    # maxlen + 1 unary strings: SWEEP_CAP + 1 is one too many.
+    with pytest.raises(ValueError, match="more than 1000000 strings"):
+        sweep(unary, Fraction(1, 2), "cutpoint", oracle, SWEEP_CAP)
+    with pytest.raises(ValueError, match="more than 1000000 strings"):
+        sweep(m1_eq(), Fraction(5, 6), "cutpoint", LanguageOracle("any", ("a", "b"), untouchable), 10**9)
+    assert SWEEP_CAP == 10**6
+
+
+def test_sweep_cap_leaves_smaller_corpora_alone():
+    unary = ClassicalAutomaton.build("dfa", ("p",), ("a",), {"a": Mat.identity(1)}, 0, (0,))
+    report = sweep(unary, Fraction(1, 2), "cutpoint", LanguageOracle("all", ("a",), lambda w: True), 5)
+    assert len(report.records) == 6 and report.ok
+    empty = ClassicalAutomaton.build("dfa", ("p",), (), {}, 0, (0,))
+    report = sweep(empty, Fraction(1, 2), "cutpoint", LanguageOracle("all", (), lambda w: True), 10**9)
+    assert [r.string for r in report.records] == [""]
 
 
 def test_sweep_accepts_quantum_machines():
