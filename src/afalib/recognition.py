@@ -11,7 +11,7 @@ indeterminate rather than misclassified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
 
@@ -21,7 +21,15 @@ from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_prefix_values
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
 Value = Union[Fraction, float]
 
-MODES = ("cutpoint", "exclusive", "equality", "nondet", "isolation")
+#: The membership each mode claims for sign(f(w) - cutpoint) = -1, 0, +1.
+_CLAIMS = {
+    "cutpoint": (False, False, True),
+    "exclusive": (True, False, True),
+    "equality": (False, True, False),
+    "nondet": (False, False, True),
+    "isolation": (False, False, True),
+}
+MODES = tuple(_CLAIMS)
 
 #: Refuse sweeps over more strings than this; a sweep keeps one record per string.
 SWEEP_CAP = 10**6
@@ -90,7 +98,7 @@ def enumerate_strings(alphabet: Iterable[str], maxlen: int) -> Iterator[str]:
     alphabet = tuple(alphabet)
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
-    for length in range(maxlen + 1):
+    for length in range(maxlen + 1 if alphabet else 1):
         for combo in itertools.product(alphabet, repeat=length):
             yield "".join(combo)
 
@@ -113,21 +121,10 @@ def _sign(value: Value, cutpoint: Fraction, kappa: float) -> int | None:
         if abs(diff) <= kappa:
             return None
         return 1 if diff > 0 else -1
-    diff = value - cutpoint
-    if diff == 0:
-        return 0
-    return 1 if diff > 0 else -1
+    return (value > cutpoint) - (value < cutpoint)
 
 
-def _mode_member(mode: str, sign: int) -> bool:
-    if mode in ("cutpoint", "isolation", "nondet"):
-        return sign > 0
-    if mode == "exclusive":
-        return sign != 0
-    return sign == 0  # equality
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringRecord:
     string: str
     value: Value
@@ -204,39 +201,29 @@ def sweep(
             f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
         )
     cutpoint = Fraction(0) if mode == "nondet" else Fraction(cutpoint)
+    claims = _CLAIMS[mode]
     records = []
-    counterexamples = []
-    indeterminate = []
-    min_member = None
-    max_nonmember = None
     for w, value in _machine_values(machine, maxlen):
         member = oracle_eval(oracle, w)
-        if member:
-            if min_member is None or value < min_member:
-                min_member = value
-        else:
-            if max_nonmember is None or value > max_nonmember:
-                max_nonmember = value
         sign = _sign(value, cutpoint, kappa)
         if sign is None:
             verdict = "indeterminate"
-            indeterminate.append(w)
-        elif _mode_member(mode, sign) == member:
+        elif claims[sign + 1] == member:
             verdict = "agree"
         else:
             verdict = "disagree"
-            counterexamples.append(w)
         records.append(StringRecord(w, value, member, verdict))
+    # The aggregates are read off the records; min and max keep the first of equal extremes.
     return SweepReport(
-        mode=mode,
-        cutpoint=cutpoint,
-        maxlen=maxlen,
-        kappa=kappa,
-        records=tuple(records),
-        counterexamples=tuple(counterexamples),
-        indeterminate=tuple(indeterminate),
-        min_member_value=min_member,
-        max_nonmember_value=max_nonmember,
+        mode,
+        cutpoint,
+        maxlen,
+        kappa,
+        tuple(records),
+        counterexamples=tuple(r.string for r in records if r.verdict == "disagree"),
+        indeterminate=tuple(r.string for r in records if r.verdict == "indeterminate"),
+        min_member_value=min((r.value for r in records if r.member), default=None),
+        max_nonmember_value=max((r.value for r in records if not r.member), default=None),
     )
 
 
@@ -304,18 +291,11 @@ def equivalence_check(
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
     cutpoint1, cutpoint2 = Fraction(cutpoint1), Fraction(cutpoint2)
-    if m1.alphabet == m2.alphabet:
-        pairs = (
-            ((w, v1), v2)
-            for (w, v1), (_, v2) in zip(_machine_values(m1, maxlen), _machine_values(m2, maxlen))
-        )
-    else:
-        # Same symbols, different order: align by string instead of by stream.
-        lookup = dict(_machine_values(m2, maxlen))
-        pairs = (((w, v1), lookup[w]) for w, v1 in _machine_values(m1, maxlen))
+    # Enumerating m2 in m1's symbol order lists the same strings in both streams.
+    m2 = replace(m2, alphabet=m1.alphabet)
     violations = []
     indeterminate = []
-    for (w, v1), v2 in pairs:
+    for (w, v1), (_, v2) in zip(_machine_values(m1, maxlen), _machine_values(m2, maxlen)):
         s1 = _sign(v1, cutpoint1, kappa)
         s2 = _sign(v2, cutpoint2, kappa)
         if s1 is None or s2 is None:

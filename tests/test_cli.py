@@ -180,13 +180,15 @@ GOLDEN_REPORTS = [
     (lambda: m2_eq(x=3), "1/2", "cutpoint", "eq", 11, "8b37af6ffacf849d1708ee06cdd59689cc91ad64d10cf404e6e1a24fc0c0ea89"),
     (abs_eq, "1/2", "equality", "abseq", 10, "c7cb24ce23392cfe49f49132f032068bdd06e16ae2e84ca8fcc5b16ead37ef53"),
     (lapins, "1/2", "cutpoint", "lapins", 6, "a21559e46a14770409cad464382d8ca87c80e7811fce4f6e57a980a33c8423df"),
+    (lambda: m2_eq(x=3), "1/7", "exclusive", "eq", 11, "d657d63890804870e97e0a3fc9ccce381aa5e2d7780ab767e497b580c25cec88"),
+    (m1_eq, "0", "nondet", "eq", 10, "d6367fae1f9fa2bb95ec5c1c20f2b182d87c5ec8d913ab78242c8b8242f6d601"),
 ]
 
 
 @pytest.mark.parametrize(
     "build, cutpoint, mode, oracle, maxlen, digest",
     GOLDEN_REPORTS,
-    ids=["m1_eq", "m2_eq", "abs_eq", "lapins"],
+    ids=["m1_eq", "m2_eq", "abs_eq", "lapins", "m2_eq-exclusive", "m1_eq-nondet"],
 )
 def test_sweep_reports_match_their_golden_digests(build, cutpoint, mode, oracle, maxlen, digest):
     # Pinned digests: any change to a value, a verdict or the report

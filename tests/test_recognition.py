@@ -1,5 +1,7 @@
 """Tests for oracle sweeps, isolation measurement and machine equivalence."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from afalib.recognition import (
     LanguageOracle,
     MODES,
     SWEEP_CAP,
+    SweepReport,
     dfa_oracle,
     enumerate_strings,
     equivalence_check,
@@ -88,6 +91,11 @@ def test_enumerate_strings_is_length_lexicographic():
     assert sum(1 for _ in enumerate_strings("abc", 9)) == 29524
 
 
+def test_enumerate_strings_over_no_letters_stops_after_the_empty_string():
+    # No letters make no string longer than 0, so no length past 0 is tried.
+    assert list(enumerate_strings((), 10**9)) == [""]
+
+
 # ------------------------------------------------------------------ sweeps
 
 
@@ -107,6 +115,18 @@ def test_cutpoint_sweep_finds_counterexamples():
     assert not report.ok
     assert report.counterexamples[0] == "a"
     assert all(r.verdict == "disagree" for r in report.records if r.string in report.counterexamples)
+
+
+def test_sweep_report_takes_its_aggregates_as_arguments():
+    # Callers build and corrupt reports through the constructor, so the
+    # aggregates stay ordinary fields with defaults.
+    report = sweep(m1_eq(), Fraction(5, 6), "cutpoint", EQ, 2)
+    corrupt = replace(report, counterexamples=("ab",))
+    assert corrupt.counterexamples == ("ab",) and not corrupt.ok
+    assert corrupt.records == report.records
+    bare = SweepReport("cutpoint", Fraction(1, 2), 0, 0.0, ())
+    assert (bare.counterexamples, bare.indeterminate) == ((), ())
+    assert bare.min_member_value is None and bare.gap is None
 
 
 def test_records_follow_enumeration_order():
@@ -230,6 +250,32 @@ def test_equivalence_across_exact_and_float_machines():
     q = afa_to_nqfa(m)
     report = equivalence_check(q, 0.0, m, Fraction(0), 4)
     assert report.equivalent
+
+
+def _exact(machine):
+    return machine
+
+
+@pytest.mark.parametrize(
+    "lane1, lane2",
+    [(_exact, _exact), (_exact, afa_to_nqfa), (afa_to_nqfa, _exact)],
+    ids=["exact", "exact-quantum", "quantum-exact"],
+)
+def test_equivalence_aligns_reordered_alphabets(lane1, lane2):
+    # Machines that list the same symbols in another order are compared
+    # string by string, in the first machine's order.
+    def machine(lane, alphabet):
+        return lane(replace(m1_eq(), alphabet=alphabet))
+
+    violations = 0
+    for order1, order2 in ((("a", "b"), ("b", "a")), (("b", "a"), ("a", "b"))):
+        for cutpoint1, cutpoint2 in itertools.product((Fraction(1, 2), Fraction(5, 6)), repeat=2):
+            m1 = machine(lane1, order1)
+            got = equivalence_check(m1, cutpoint1, machine(lane2, order2), cutpoint2, 6)
+            want = equivalence_check(m1, cutpoint1, machine(lane2, order1), cutpoint2, 6)
+            assert (got.violations, got.indeterminate) == (want.violations, want.indeterminate)
+            violations += len(got.violations)
+    assert violations
 
 
 def test_equivalence_requires_matching_alphabet_sets():
