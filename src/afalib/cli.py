@@ -143,46 +143,37 @@ def cmd_sweep(args) -> int:
     return 0 if report.ok else CLAIM_FAILED
 
 
+def _classical(path) -> ClassicalAutomaton:
+    machine = load_automaton(path)
+    if not isinstance(machine, ClassicalAutomaton):
+        raise FormatError(f"{path}: expected a classical machine")
+    return machine
+
+
+# name -> (input loader, input count, required flags, construction); the
+# construction takes the loaded inputs, then the flag values.
+_CONSTRUCTIONS = {
+    "shift-interior": (_classical, 1, ("from_cutpoint", "to_cutpoint"), constructions.shift_interior),
+    "shift-zero": (_classical, 1, ("to_cutpoint",), lambda m, lam: constructions.shift_extreme(m, "zero", lam)),
+    "shift-one": (_classical, 1, ("to_cutpoint",), lambda m, lam: constructions.shift_extreme(m, "one", lam)),
+    "pfa-to-nafa": (_classical, 1, (), constructions.exclusive_pfa_to_nafa),
+    "afa-to-nqfa": (_classical, 1, (), constructions.afa_to_nqfa),
+    "tensor": (_classical, 2, (), constructions.tensor),
+    "counters": (load_counter_spec, 1, (), constructions.compile_blind_counters),
+}
+
+
 def cmd_construct(args) -> int:
     kind = args.construction
-    inputs = args.inputs
-    expected = 2 if kind == "tensor" else 1
-    if len(inputs) != expected:
-        print(f"error: {kind} takes {expected} input file(s)", file=sys.stderr)
+    load, count, flags, build = _CONSTRUCTIONS[kind]
+    if len(args.inputs) != count:
+        print(f"error: {kind} takes {count} input file(s)", file=sys.stderr)
         return USAGE_ERROR
-
-    def classical(path) -> ClassicalAutomaton:
-        machine = load_automaton(path)
-        if not isinstance(machine, ClassicalAutomaton):
-            raise FormatError(f"{path}: expected a classical machine")
-        return machine
-
-    def need(flag_name, value):
+    values = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, values):
         if value is None:
-            raise FormatError(f"{kind} needs {flag_name}")
-        return value
-
-    if kind == "shift-interior":
-        result = constructions.shift_interior(
-            classical(inputs[0]),
-            need("--from-cutpoint", args.from_cutpoint),
-            need("--to-cutpoint", args.to_cutpoint),
-        )
-    elif kind == "shift-zero":
-        result = constructions.shift_extreme(classical(inputs[0]), "zero", need("--to-cutpoint", args.to_cutpoint))
-    elif kind == "shift-one":
-        result = constructions.shift_extreme(classical(inputs[0]), "one", need("--to-cutpoint", args.to_cutpoint))
-    elif kind == "pfa-to-nafa":
-        result = constructions.exclusive_pfa_to_nafa(classical(inputs[0]))
-    elif kind == "afa-to-nqfa":
-        result = constructions.afa_to_nqfa(classical(inputs[0]))
-    elif kind == "tensor":
-        result = constructions.tensor(classical(inputs[0]), classical(inputs[1]))
-    elif kind == "counters":
-        result = constructions.compile_blind_counters(load_counter_spec(inputs[0]))
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(kind)
-    _write(dumps_automaton(result), args.out)
+            raise ValueError(f"{kind} needs --{flag.replace('_', '-')}")
+    _write(dumps_automaton(build(*map(load, args.inputs), *values)), args.out)
     return 0
 
 
@@ -238,18 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("construct", help="derive a new machine file")
-    p.add_argument(
-        "construction",
-        choices=[
-            "shift-interior",
-            "shift-zero",
-            "shift-one",
-            "pfa-to-nafa",
-            "afa-to-nqfa",
-            "tensor",
-            "counters",
-        ],
-    )
+    p.add_argument("construction", choices=list(_CONSTRUCTIONS))
     p.add_argument("inputs", nargs="+", help="input machine file(s)")
     p.add_argument("--from-cutpoint", dest="from_cutpoint", type=_rational_arg)
     p.add_argument("--to-cutpoint", dest="to_cutpoint", type=_rational_arg)

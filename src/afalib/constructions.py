@@ -19,6 +19,7 @@ from .exactnum import ONE, ZERO, Mat, basis_vector, direct_sum, kron
 from .quantum import QuantumAutomaton, Superoperator
 
 __all__ = [
+    "COUNTER_STATE_CAP",
     "CounterMachineSpec",
     "ZOO_NAMES",
     "abs_eq",
@@ -225,20 +226,15 @@ def lapins() -> ClassicalAutomaton:
     return _append_stage(product, (), Mat.from_cols(cols), {0, 3})
 
 
-ZOO_NAMES = ("m1_eq", "m2_eq", "lapins", "abs_eq")
+_ZOO = {"m1_eq": m1_eq, "m2_eq": m2_eq, "lapins": lapins, "abs_eq": abs_eq}
+ZOO_NAMES = tuple(_ZOO)
 
 
 def zoo(name: str, **params) -> ClassicalAutomaton:
     """Look up a reference machine by name; ``m2_eq`` takes ``x``."""
-    if name == "m1_eq":
-        return m1_eq()
-    if name == "m2_eq":
-        return m2_eq(**params)
-    if name == "lapins":
-        return lapins()
-    if name == "abs_eq":
-        return abs_eq()
-    raise ValueError(f"unknown zoo machine {name!r}; choose from {ZOO_NAMES}")
+    if name not in _ZOO:
+        raise ValueError(f"unknown zoo machine {name!r}; choose from {ZOO_NAMES}")
+    return _ZOO[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +465,9 @@ def _dfa_target(machine: ClassicalAutomaton, sym: str, source: int) -> int:
     raise ValueError(f"column {source} of symbol {sym!r} is not deterministic")
 
 
+COUNTER_STATE_CAP = 3**6
+
+
 def compile_blind_counters(spec: CounterMachineSpec) -> ClassicalAutomaton:
     """Compile a blind-counter machine into one affine machine.
 
@@ -481,9 +480,14 @@ def compile_blind_counters(spec: CounterMachineSpec) -> ClassicalAutomaton:
     controller accepts and all counters are zero, value at most
     1/(2x + 1) when some counter is nonzero, value 0 when the controller
     rejects.
+
+    The dense matrices grow as the square of the state count, so more
+    than ``COUNTER_STATE_CAP`` states raise ``ValueError`` up front.
     """
     dfa = spec.dfa
     k, x = spec.counters, spec.scale
+    if k > COUNTER_STATE_CAP or dfa.size * 3**k > COUNTER_STATE_CAP:  # k first keeps 3**k small
+        raise ValueError(f"{dfa.size} * 3**{k} states is more than COUNTER_STATE_CAP = {COUNTER_STATE_CAP}")
     gdim = 3**k
     n = dfa.size * gdim
     gadget_tags = ["".join(str(g) for g in combo) for combo in itertools.product(range(3), repeat=k)]

@@ -28,24 +28,28 @@ introduced by an ``element`` line, with decimal float entries:
     0.5 0.5
     -0.5 0.5
 
-Counter machine inputs for the ``construct counters`` command use their
-own header plus ``transition FROM SYMBOL TO`` and ``increment STATE
-SYMBOL d1 .. dk`` lines; see :func:`loads_counter_spec`.
+Counter machine inputs for the ``construct counters`` command read
+their header by the same rules, with ``counters`` and ``scale`` keys,
+followed by ``transition FROM SYMBOL TO`` and ``increment STATE SYMBOL
+d1 .. dk`` lines; see :func:`loads_counter_spec`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Union
+from typing import Sequence, Union
 
-from .automata import CENT, DOLLAR, KINDS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
+from .automata import KINDS, RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
 from .exactnum import Mat, parse_rational, render_rational
 from .quantum import QuantumAutomaton, Superoperator
 
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
 
 _HEADER_KEYS = ("kind", "states", "alphabet", "initial", "accepting")
+_COUNTER_KEYS = (*_HEADER_KEYS, "counters", "scale")
+_OPTIONAL = {"accepting": (), "scale": ("1",)}
+_SINGLE_VALUED = ("kind", "initial", "counters", "scale")
 
 
 class FormatError(ValueError):
@@ -61,28 +65,36 @@ def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _parse_header(lines, path_hint: str):
-    header: dict[str, list[str]] = {}
+def _parse_header(lines, path_hint: str, keys=_HEADER_KEYS):
+    """Split ``lines`` into the header (a dict over ``keys``) and the body.
+
+    Header lines come first, each key once; a header key in the body is
+    an error. Keys in ``_OPTIONAL`` take their default when absent.
+    """
+    if not lines:
+        raise FormatError(f"{path_hint}: empty file")
+    header: dict[str, Sequence[str]] = {}
     index = 0
-    while index < len(lines):
-        lineno, tokens = lines[index]
-        if tokens[0] not in _HEADER_KEYS:
-            break
-        key = tokens[0]
+    while index < len(lines) and lines[index][1][0] in keys:
+        lineno, (key, *values) = lines[index]
         if key in header:
             raise FormatError(f"{path_hint}:{lineno}: duplicate header line {key!r}")
-        header[key] = tokens[1:]
+        header[key] = values
         index += 1
-    missing = [k for k in _HEADER_KEYS if k not in header and k != "accepting"]
+    body = lines[index:]
+    for lineno, tokens in body:
+        if tokens[0] in keys:
+            raise FormatError(f"{path_hint}:{lineno}: header line {tokens[0]!r} after the body started")
+    missing = [k for k in keys if k not in header and k not in _OPTIONAL]
     if missing:
         raise FormatError(f"{path_hint}: missing header lines: {', '.join(missing)}")
-    header.setdefault("accepting", [])
-    for key in ("kind", "initial"):
-        if len(header[key]) != 1:
+    header = {k: _OPTIONAL[k] for k in keys if k in _OPTIONAL} | header
+    for key in _SINGLE_VALUED:
+        if key in header and len(header[key]) != 1:
             raise FormatError(f"{path_hint}: header line {key!r} needs exactly one value")
     if not header["states"]:
         raise FormatError(f"{path_hint}: header line 'states' needs at least one name")
-    return header, index
+    return header, body
 
 
 def _state_indices(header, path_hint: str):
@@ -122,22 +134,18 @@ def _float_entry(tok: str) -> float:
 
 def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
     """Parse an automaton file body. Raises :class:`FormatError` on bad input."""
-    lines = _logical_lines(text)
-    if not lines:
-        raise FormatError(f"{path_hint}: empty file")
-    header, index = _parse_header(lines, path_hint)
+    header, body = _parse_header(_logical_lines(text), path_hint)
     kind = header["kind"][0]
     if kind not in (*KINDS, "qfa"):
         raise FormatError(f"{path_hint}: unknown kind {kind!r}")
     states, initial, accepting = _state_indices(header, path_hint)
     alphabet = tuple(header["alphabet"])
     n = len(states)
-    reserved = {CENT, DOLLAR}
-    known = set(alphabet) | reserved
+    known = set(alphabet) | set(RESERVED_SYMBOLS)
 
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     current: list[tuple[int, list[str]]] | None = None
-    for lineno, tokens in lines[index:]:
+    for lineno, tokens in body:
         if tokens[0] == "symbol":
             if len(tokens) != 2:
                 raise FormatError(f"{path_hint}:{lineno}: 'symbol' needs exactly one name")
@@ -147,8 +155,6 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
             if name in sections:
                 raise FormatError(f"{path_hint}:{lineno}: duplicate section for symbol {name!r}")
             current = sections.setdefault(name, [])
-        elif tokens[0] in _HEADER_KEYS:
-            raise FormatError(f"{path_hint}:{lineno}: header line {tokens[0]!r} after the body started")
         else:
             if current is None:
                 raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'symbol' line")
@@ -214,9 +220,9 @@ def dumps_automaton(machine: Machine) -> str:
     lines.append(("accepting " + " ".join(machine.states[k] for k in sorted(machine.accepting))).rstrip())
     table = machine.channels if quantum else machine.transitions
     identity = (Superoperator if quantum else Mat).identity(machine.size)
-    for sym in (*machine.alphabet, CENT, DOLLAR):
+    for sym in (*machine.alphabet, *RESERVED_SYMBOLS):
         entry = table[sym]
-        if sym in (CENT, DOLLAR) and entry == identity:
+        if sym in RESERVED_SYMBOLS and entry == identity:
             continue
         lines += ["", f"symbol {sym}"]
         if quantum:
@@ -242,32 +248,17 @@ def loads_counter_spec(text: str, path_hint: str = "<string>") -> CounterMachine
     and one ``increment STATE SYMBOL d1 .. dK`` line per pair; both
     tables must be total.
     """
-    lines = _logical_lines(text)
-    if not lines:
-        raise FormatError(f"{path_hint}: empty file")
-    header: dict[str, list[str]] = {}
-    body = []
-    for lineno, tokens in lines:
-        if tokens[0] in (*_HEADER_KEYS, "counters", "scale") and tokens[0] not in header:
-            header[tokens[0]] = tokens[1:]
-        else:
-            body.append((lineno, tokens))
-    for key in ("kind", "states", "alphabet", "initial", "counters"):
-        if key not in header:
-            raise FormatError(f"{path_hint}: missing header line {key!r}")
+    header, body = _parse_header(_logical_lines(text), path_hint, _COUNTER_KEYS)
     if header["kind"] != ["counters"]:
         raise FormatError(f"{path_hint}: counter files need 'kind counters'")
-    header.setdefault("accepting", [])
-    states, initial, accepting = _state_indices(header, path_hint)
-    alphabet = tuple(header["alphabet"])
+    states, alphabet = tuple(header["states"]), tuple(header["alphabet"])
     try:
         k = int(header["counters"][0])
-    except (IndexError, ValueError):
+    except ValueError:
         raise FormatError(f"{path_hint}: 'counters' needs one integer") from None
-    scale_tokens = header.get("scale", ["1"])
     try:
-        scale = parse_rational(scale_tokens[0])
-    except (IndexError, ValueError):
+        scale = parse_rational(header["scale"][0])
+    except ValueError:
         raise FormatError(f"{path_hint}: 'scale' needs one rational") from None
 
     moves = {}
@@ -299,9 +290,8 @@ def loads_counter_spec(text: str, path_hint: str = "<string>") -> CounterMachine
         else:
             raise FormatError(f"{path_hint}:{lineno}: unknown line {tokens[0]!r}")
 
-    accepting_names = [states[i] for i in accepting]
     try:
-        dfa = dfa_automaton(states, alphabet, moves, states[initial], accepting_names)
+        dfa = dfa_automaton(states, alphabet, moves, header["initial"][0], header["accepting"])
         return CounterMachineSpec(dfa, k, increments, scale)
     except ValueError as exc:
         raise FormatError(f"{path_hint}: {exc}") from None

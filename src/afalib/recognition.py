@@ -83,6 +83,8 @@ def dfa_oracle(machine: ClassicalAutomaton) -> LanguageOracle:
     """Membership decided by a deterministic machine (value exactly 1)."""
     if machine.kind != "dfa":
         raise ValueError("oracle machines must be deterministic")
+    if violations := machine.violations():
+        raise ValueError(f"oracle machine has {len(violations)} violation(s), first: {violations[0]}")
     return LanguageOracle("dfa", machine.alphabet, lambda w: accept_value(machine, w) == 1)
 
 

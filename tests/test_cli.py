@@ -5,10 +5,12 @@ user sees: exit codes, stdout text and stderr diagnostics.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from afalib import rand
 from afalib.cli import main, render_report
 from afalib.constructions import abs_eq, lapins, m1_eq, m2_eq
 from afalib.fileformat import dumps_automaton, load_automaton, loads_counter_spec
@@ -215,6 +217,23 @@ def test_sweep_oracle_can_be_a_dfa_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_sweep_with_an_invalid_dfa_oracle_is_a_usage_error(tmp_path, m1_path, capsys):
+    # Column 0 of 'a' splits 1/2 1/2: no language, so no verdict to report.
+    dfa = tmp_path / "bad.dfa"
+    dfa.write_text(
+        "kind dfa\nstates even odd\nalphabet a b\ninitial even\naccepting even\n\n"
+        "symbol a\n1/2 1\n1/2 0\n\nsymbol b\n1 0\n0 1\n"
+    )
+    assert main(["validate", str(dfa)]) == 1
+    capsys.readouterr()
+    code = main(["sweep", m1_path, "--cutpoint", "5/6", "--oracle", str(dfa), "--maxlen", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "violation" in captured.err
+
+
 def test_sweep_unknown_oracle_name(m1_path):
     assert main(
         ["sweep", m1_path, "--cutpoint", "1/2", "--oracle", "primes", "--maxlen", "3"]
@@ -308,6 +327,88 @@ def test_construct_counters_from_spec_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", str(out), "--input", "aab"]) == 0
     assert "value 1/3" in capsys.readouterr().out
+
+
+# The README's balance.cm: COUNTER with scale 2.
+README_BALANCE = COUNTER.replace("counters 1\n", "counters 1\nscale 2\n")
+
+GOLDEN_MACHINES = [
+    (["zoo", "m1_eq"], "6cda8fa63a4858f5067358d89f711f8469fa7ea8290432a0ee2c085c9b52afb1"),
+    (["zoo", "m2_eq", "--x", "3"], "763c470967b0e9ee27064fd323d52eef9f175231f6bf86cd81b143c92ddfd921"),
+    (["zoo", "abs_eq"], "8281c7b0997ac5547ddc84aac5da0d1237fb64435b4c33d6841a3da36da32a1e"),
+    (["zoo", "lapins"], "454d63f7dc32e65851940dc32a2b7c102124e8e0dc5420eabb3d1d9cb5519c17"),
+    (
+        ["construct", "shift-interior", "{m1}", "--from-cutpoint", "5/6", "--to-cutpoint", "1/2"],
+        "537a955e36e695b1deaf27d70a1ff29c635a4abca67155ef08f470d7a973eeb8",
+    ),
+    (
+        ["construct", "shift-zero", "{m1}", "--to-cutpoint", "1/3"],
+        "74b8b8b6c8a0ecfcea932d318c3f3a4a06570b88ba2f373c4418d4d5d37d3052",
+    ),
+    (
+        ["construct", "shift-one", "{m1}", "--to-cutpoint", "3/4"],
+        "da3287e892158c1f3d4eb9c1d81f7d396e302ba1fac55c080371f7415eb12690",
+    ),
+    (["construct", "pfa-to-nafa", "{pfa}"], "13b0193d1bd21b083023fdf2f11f564e918d0dfc8bbb322c1b20fa7482cecf4f"),
+    (["construct", "tensor", "{m1}", "{m1}"], "b8d88065c454ec11dc335a01651f6e5c85b7da79538ff65b8dd98a5c4b39ebae"),
+    (["construct", "counters", "{balance}"], "45973a9782eac544111f24d856fc7b61442da519438411f48b04615dcbd05d2b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN_MACHINES,
+    ids=[
+        "zoo-m1_eq",
+        "zoo-m2_eq",
+        "zoo-abs_eq",
+        "zoo-lapins",
+        "shift-interior",
+        "shift-zero",
+        "shift-one",
+        "pfa-to-nafa",
+        "tensor",
+        "counters",
+    ],
+)
+def test_written_machines_match_their_golden_digests(tmp_path, argv, digest):
+    # Pinned digests: any change to a built machine or to the file
+    # writer shows here.
+    m1 = tmp_path / "m1.afa"
+    assert main(["zoo", "m1_eq", "--out", str(m1)]) == 0
+    pfa = tmp_path / "r.pfa"
+    pfa.write_text(dumps_automaton(rand.random_pfa(random.Random(0), 3)))
+    balance = tmp_path / "balance.cm"
+    balance.write_text(README_BALANCE)
+    out = tmp_path / "out.afa"
+    args = [part.format(m1=m1, pfa=pfa, balance=balance) for part in argv]
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        COUNTER.replace("counters 1", "counters 1 7"),
+        README_BALANCE.replace("scale 2", "scale 2 9"),
+        COUNTER + "scale 2\n",
+        COUNTER.replace("kind counters\n", "kind counters\nkind counters\n"),
+        # 3**12 joint states: refused before any matrix is built.
+        COUNTER.replace("counters 1", "counters 12")
+        .replace("only a 1", "only a 1" + " 0" * 11)
+        .replace("only b -1", "only b -1" + " 0" * 11),
+    ],
+    ids=["counters-two-values", "scale-two-values", "header-after-body", "repeated-kind", "over-the-state-cap"],
+)
+def test_construct_counters_rejects_bad_specs(tmp_path, capsys, text):
+    spec_path = tmp_path / "bad.cm"
+    spec_path.write_text(text)
+    out = tmp_path / "bad.afa"
+    assert main(["construct", "counters", str(spec_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_construct_writes_to_stdout_without_out_flag(m1_path, capsys):

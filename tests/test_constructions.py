@@ -14,6 +14,7 @@ import pytest
 import afalib.rand as rand
 from afalib.automata import ClassicalAutomaton, accept_value, prefix_values, run
 from afalib.constructions import (
+    COUNTER_STATE_CAP,
     CounterMachineSpec,
     ZOO_NAMES,
     abs_eq,
@@ -66,6 +67,8 @@ def test_zoo_names_and_dispatch():
     assert zoo("m2_eq").size == 3  # scale defaults to 1
     with pytest.raises(ValueError):
         zoo("m3_eq")
+    with pytest.raises(TypeError):
+        zoo("m1_eq", x=3)  # only m2_eq takes a scale
 
 
 def test_m1_eq_machine_shape():
@@ -461,6 +464,16 @@ def test_counter_spec_validation():
         CounterMachineSpec(
             dfa=d, counters=1, increments={(0, "a"): (1,)}, scale=Fraction(1, 2)
         )
+
+
+@pytest.mark.parametrize("states, counters", [(2, 6), (1, 7), (1, 10**9)])
+def test_counter_compilation_over_the_state_cap_raises(states, counters):
+    # Checked before any matrix is built, so even 3**(10**9) states fail fast.
+    names = tuple(f"q{i}" for i in range(states))
+    d = dfa_automaton(states=names, alphabet=(), moves={}, initial="q0", accepting=())
+    spec = CounterMachineSpec(dfa=d, counters=counters, increments={})
+    with pytest.raises(ValueError, match="COUNTER_STATE_CAP"):
+        compile_blind_counters(spec)
 
 
 def test_two_counter_machines_need_both_at_zero():

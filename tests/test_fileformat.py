@@ -129,6 +129,9 @@ def test_accepting_line_is_optional():
         lambda t: t + "\nsymbol a\n1 0\n0 1\n",
         lambda t: t.replace("symbol a", "symbol b"),
         lambda t: t.replace("states p q", "states p p"),
+        lambda t: t + "accepting p\n",
+        lambda t: t.replace("kind afa\n", "kind afa\nkind afa\n"),
+        lambda t: t.replace("kind afa", "kind afa pfa"),
     ],
     ids=[
         "bad-kind",
@@ -141,6 +144,9 @@ def test_accepting_line_is_optional():
         "duplicate-symbol-section",
         "missing-alphabet-symbol",
         "duplicate-state",
+        "header-after-body",
+        "repeated-kind",
+        "two-kinds",
     ],
 )
 def test_malformed_machines_raise_format_errors(mangle):
@@ -207,6 +213,9 @@ def test_counter_spec_scale_defaults_to_one():
         lambda t: t.replace("transition only a only", "transition only a ghost"),
         lambda t: t.replace("scale 2", "scale 1/2"),
         lambda t: t.replace("counters 1", "counters 0"),
+        lambda t: t.replace("initial only", "initial ghost"),
+        lambda t: t.replace("accepting only", "accepting ghost"),
+        lambda t: t.replace("states only", "states only only"),
     ],
     ids=[
         "wrong-kind",
@@ -216,8 +225,28 @@ def test_counter_spec_scale_defaults_to_one():
         "unknown-target-state",
         "scale-below-one",
         "zero-counters",
+        "unknown-initial-state",
+        "unknown-accepting-state",
+        "duplicate-state",
     ],
 )
 def test_malformed_counter_specs_raise_format_errors(mangle):
     with pytest.raises(FormatError):
         loads_counter_spec(mangle(COUNTER))
+
+
+# Counter headers follow the machine-file rules: header lines first, each
+# key once, single-valued keys with exactly one value.
+BAD_COUNTER_HEADERS = [
+    (COUNTER.replace("counters 1", "counters 1 7"), "'counters' needs exactly one value"),
+    (COUNTER.replace("scale 2", "scale 2 9"), "'scale' needs exactly one value"),
+    (COUNTER.replace("scale 2\n", "") + "scale 2\n", ":12: header line 'scale' after the body started"),
+    (COUNTER.replace("kind counters\n", "kind counters\nkind counters\n"), ":2: duplicate header line 'kind'"),
+]
+BAD_COUNTER_IDS = ["counters-two-values", "scale-two-values", "header-after-body", "repeated-kind"]
+
+
+@pytest.mark.parametrize("text, message", BAD_COUNTER_HEADERS, ids=BAD_COUNTER_IDS)
+def test_counter_headers_follow_the_machine_file_rules(text, message):
+    with pytest.raises(FormatError, match=message):
+        loads_counter_spec(text)

@@ -85,6 +85,17 @@ def test_dfa_oracle_wraps_a_machine():
     assert oracle_eval(oracle, "aa") and not oracle_eval(oracle, "a")
 
 
+def test_dfa_oracle_rejects_an_invalid_dfa():
+    # A "dfa" whose 'a' column splits 1/2 1/2 decides no language; its
+    # verdicts would be made-up counterexamples.
+    identity = Mat([[1, 0], [0, 1]])
+    half = Mat([["1/2", 0], ["1/2", 1]])
+    bad = ClassicalAutomaton.build("dfa", ("p", "q"), ("a", "b"), {"a": half, "b": identity}, 0, {0})
+    assert bad.violations()
+    with pytest.raises(ValueError, match="violation"):
+        dfa_oracle(bad)
+
+
 def test_enumerate_strings_is_length_lexicographic():
     words = list(enumerate_strings("ab", 2))
     assert words == ["", "a", "b", "aa", "ab", "ba", "bb"]
