@@ -147,10 +147,9 @@ class ClassicalAutomaton:
             for v in validate_kind(mat, self.matrix_kind):
                 out.append(f"symbol {sym}, {v}")
             if self.kind == "dfa":
-                for j in range(mat.cols):
-                    for k in range(mat.rows):
-                        if mat[k, j] not in (0, 1):
-                            out.append(f"symbol {sym}, column {j}: entry at row {k} is not 0 or 1")
+                d, rows = mat.integer_form()
+                bad = sorted((j, k) for k, row in enumerate(rows) for j, a in row if a != d)
+                out += [f"symbol {sym}, column {j}: entry at row {k} is not 0 or 1" for j, k in bad]
         return out
 
 
@@ -389,6 +388,8 @@ class CounterMachineSpec:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.dfa.kind != "dfa":
             raise ValueError("the controller must be a deterministic machine")
+        if violations := self.dfa.violations():
+            raise ValueError(f"controller machine has {len(violations)} violation(s), first: {violations[0]}")
         if self.counters < 1:
             raise ValueError("need at least one counter")
         if self.scale < 1:

@@ -9,6 +9,7 @@ docstring holds with equality over the rationals, not just numerically.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from fractions import Fraction
 from typing import Sequence
 
@@ -374,7 +375,7 @@ def exclusive_pfa_to_nafa(machine: ClassicalAutomaton) -> ClassicalAutomaton:
 
 
 def _mat_to_array(mat: Mat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in mat.data])
+    return np.array([[float(x) for x in row] for row in mat.tolists()])
 
 
 def normalization_factor(mat: Mat) -> float:
@@ -457,14 +458,6 @@ def _counter_gadget(delta: int, scale: Fraction) -> Mat:
     return Mat([[1, 0, 0], [d, 1, 0], [-d, 0, 1]])
 
 
-def _dfa_target(machine: ClassicalAutomaton, sym: str, source: int) -> int:
-    col = machine.transitions[sym].col(source)
-    for k, value in enumerate(col):
-        if value == 1:
-            return k
-    raise ValueError(f"column {source} of symbol {sym!r} is not deterministic")
-
-
 COUNTER_STATE_CAP = 3**6
 
 
@@ -481,37 +474,26 @@ def compile_blind_counters(spec: CounterMachineSpec) -> ClassicalAutomaton:
     1/(2x + 1) when some counter is nonzero, value 0 when the controller
     rejects.
 
-    The dense matrices grow as the square of the state count, so more
-    than ``COUNTER_STATE_CAP`` states raise ``ValueError`` up front.
+    Letter matrices are ``kron(D, I) @ diag(B_q ...)``, with ``B_q`` the
+    Kronecker product of state ``q``'s gadgets; end-markers are
+    ``kron(D, I)``. The dense machine file grows as the square of the
+    state count, so more than ``COUNTER_STATE_CAP`` states raise
+    ``ValueError`` up front.
     """
     dfa = spec.dfa
     k, x = spec.counters, spec.scale
     if k > COUNTER_STATE_CAP or dfa.size * 3**k > COUNTER_STATE_CAP:  # k first keeps 3**k small
         raise ValueError(f"{dfa.size} * 3**{k} states is more than COUNTER_STATE_CAP = {COUNTER_STATE_CAP}")
     gdim = 3**k
-    n = dfa.size * gdim
     gadget_tags = ["".join(str(g) for g in combo) for combo in itertools.product(range(3), repeat=k)]
     states = tuple(f"{q}.{tag}" for q in dfa.states for tag in gadget_tags)
 
-    transitions: dict[str, Mat] = {}
-    for sym in dfa.alphabet:
-        cols: list[list[Fraction]] = [[ZERO] * n for _ in range(n)]
-        for q in range(dfa.size):
-            q2 = _dfa_target(dfa, sym, q)
-            deltas = spec.increments[(q, sym)]
-            block = _counter_gadget(deltas[0], x)
-            for d in deltas[1:]:
-                block = kron(block, _counter_gadget(d, x))
-            for c in range(gdim):
-                col = cols[q * gdim + c]
-                for r in range(gdim):
-                    value = block[r, c]
-                    if value:
-                        col[q2 * gdim + r] = value
-        transitions[sym] = Mat.from_cols(cols)
     ident_g = Mat.identity(gdim)
-    transitions[CENT] = kron(dfa.transitions[CENT], ident_g)
-    transitions[DOLLAR] = kron(dfa.transitions[DOLLAR], ident_g)
+    transitions = {sym: kron(dfa.transitions[sym], ident_g) for sym in (*dfa.alphabet, CENT, DOLLAR)}
+    for sym in dfa.alphabet:
+        # Gadget block of controller state q, moved to the block of its target.
+        blocks = [reduce(kron, (_counter_gadget(d, x) for d in spec.increments[(q, sym)])) for q in range(dfa.size)]
+        transitions[sym] = transitions[sym] @ reduce(direct_sum, blocks)
     accepting = {q * gdim for q in dfa.accepting}
     return ClassicalAutomaton.build(
         "afa", states, dfa.alphabet, transitions, dfa.initial * gdim, accepting

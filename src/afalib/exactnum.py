@@ -1,4 +1,4 @@
-"""Exact rational scalars and small dense matrix algebra.
+"""Exact rational scalars and sparse matrix algebra.
 
 Every classical machine in this package evaluates over
 :class:`fractions.Fraction`, so nothing in this module ever rounds.
@@ -6,10 +6,10 @@ Matrices follow the column-to-row transition convention: entry ``m[k, j]``
 is the weight carried from state ``j`` to state ``k``, and state column
 vectors evolve by left multiplication, ``v2 = m.apply(v)``.
 
-Matrices are dense tuples of fractions. For repeated evaluation each
-matrix also carries an integer form, built on first use: every row keeps
-only its nonzero ``(column, numerator)`` pairs over one common
-denominator. :meth:`Mat.step` applies it to an :data:`ExactState`, a
+A matrix is stored only as its integer form: each row's nonzero
+``(column, numerator)`` pairs over one common denominator. The algebra
+works over these nonzeros and derives the dense view on demand.
+:meth:`Mat.step` applies the form to an :data:`ExactState`, a
 vector written as integer numerators over one positive denominator with
 no common factor, so each exact vector has exactly one such form and can
 key a dict. Nothing in the kernel is a float; :func:`state_vector` turns
@@ -53,7 +53,7 @@ def parse_rational(text: str) -> Fraction:
 
 def render_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`: lowest terms, no ``/1`` suffix."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def _entry(value) -> Fraction:
@@ -61,7 +61,7 @@ def _entry(value) -> Fraction:
     # binary rounding into a module whose whole point is exactness.
     if isinstance(value, float):
         raise TypeError(f"float entry {value!r} not allowed; pass Fraction, int or str")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
@@ -110,28 +110,42 @@ class MatrixKind(Enum):
 
 
 class Mat:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable matrix of exact rationals, stored as its :meth:`integer_form`."""
 
-    __slots__ = ("rows", "cols", "data", "_integer")
+    __slots__ = ("rows", "cols", "_form")
 
-    def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(_entry(x) for x in row) for row in rows)
+    def __new__(cls, rows: Iterable[Iterable]):
+        data = [[_entry(x) for x in row] for row in rows]
         if not data or not data[0]:
             raise ValueError("matrices need at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_integer", None)
+        d = math.lcm(*(x.denominator for row in data for x in row))
+        rows = tuple(tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x) for row in data)
+        return cls._of(width, d, rows)
+
+    @classmethod
+    def _of(cls, cols: int, d: int, rows) -> "Mat":
+        """The matrix ``rows / d`` with ``cols`` columns, its form made canonical."""
+        g = math.gcd(d, *(a for row in rows for _, a in row))
+        if g > 1:
+            d //= g
+            rows = tuple(tuple((j, a // g) for j, a in row) for row in rows)
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_form", (d, rows))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrices need at least one row and one column")
+        return cls._of(n, 1, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def from_cols(cls, cols: Iterable[Iterable]) -> "Mat":
@@ -143,53 +157,52 @@ class Mat:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         k, j = key
-        return self.data[k][j]
+        return self.row(k)[j]
 
     def row(self, k: int) -> tuple[Fraction, ...]:
-        return self.data[k]
+        d, rows = self._form
+        out = [ZERO] * self.cols
+        for j, a in rows[k]:
+            out[j] = Fraction(a, d)
+        return tuple(out)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
+        return tuple(row[j] for row in self.tolists())
+
+    def tolists(self) -> list[list[Fraction]]:
+        """The dense view: one list of fractions per row."""
+        return [list(self.row(k)) for k in range(self.rows)]
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum((row[j] for row in self.data), ZERO) for j in range(self.cols))
+        d, rows = self._form
+        sums = [0] * self.cols
+        for row in rows:
+            for j, a in row:
+                sums[j] += a
+        return tuple(Fraction(x, d) for x in sums)
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Left-multiply a state column vector: returns ``self @ v``."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} does not match {self.cols} columns")
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for a, x in zip(row, v):
-                if a:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
+        d, rows = self._form
+        return tuple(sum((a * v[j] for j, a in row), ZERO) / d for row in rows)
 
     def integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
         """``(d, rows)``: ``d * self`` as integer rows of nonzero ``(j, entry)`` pairs.
 
-        ``d`` is the least common denominator of the entries. The form is
-        built on first use and kept on the matrix.
+        ``d`` is the least common denominator of the entries, so no factor
+        is common to it and every numerator: each matrix has exactly one
+        form, and it is the only one a matrix stores.
         """
-        form = self._integer
-        if form is None:
-            d = math.lcm(*(x.denominator for row in self.data for x in row))
-            rows = tuple(
-                tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x)
-                for row in self.data
-            )
-            form = (d, rows)
-            object.__setattr__(self, "_integer", form)
-        return form
+        return self._form
 
     def step(self, state: ExactState) -> ExactState:
         """:meth:`apply` on integer states: ``exact_state(self @ state_vector(state))``."""
         nums, den = state
         if len(nums) != self.cols:
             raise ValueError(f"vector length {len(nums)} does not match {self.cols} columns")
-        d, rows = self.integer_form()
+        d, rows = self._form
         out = [sum([a * nums[j] for j, a in row]) for row in rows]
         den *= d
         g = math.gcd(*out, den)
@@ -202,30 +215,33 @@ class Mat:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [self.apply(other.col(j)) for j in range(other.cols)]
-        return Mat.from_cols(cols)
-
-    def tolists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.data]
+        d, rows = self._form
+        e, other_rows = other._form
+        out = []
+        for row in rows:
+            acc: dict[int, int] = {}
+            for j, a in row:
+                for c, b in other_rows[j]:
+                    acc[c] = acc.get(c, 0) + a * b
+            out.append(tuple(sorted((c, x) for c, x in acc.items() if x)))
+        return Mat._of(other.cols, d * e, tuple(out))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.data == other.data
+        return isinstance(other, Mat) and self.cols == other.cols and self._form == other._form
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.cols, self._form))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(render_rational(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(render_rational(x) for x in row) for row in self.tolists())
         return f"Mat[{body}]"
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; block (i, j) of the result is ``a[i, j] * b``."""
-    rows = []
-    for arow in a.data:
-        for brow in b.data:
-            rows.append([x * y for x in arow for y in brow])
-    return Mat(rows)
+    (da, arows), (db, brows) = a.integer_form(), b.integer_form()
+    rows = tuple(tuple((i * b.cols + j, x * y) for i, x in arow for j, y in brow) for arow in arows for brow in brows)
+    return Mat._of(a.cols * b.cols, da * db, rows)
 
 
 def kron_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -234,12 +250,12 @@ def kron_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ..
 
 def direct_sum(a: Mat, b: Mat) -> Mat:
     """Block-diagonal sum ``diag(a, b)``."""
-    rows = []
-    for arow in a.data:
-        rows.append(list(arow) + [ZERO] * b.cols)
-    for brow in b.data:
-        rows.append([ZERO] * a.cols + list(brow))
-    return Mat(rows)
+    (da, arows), (db, brows) = a.integer_form(), b.integer_form()
+    d = math.lcm(da, db)
+    rows = tuple(tuple((j, x * (d // da)) for j, x in row) for row in arows) + tuple(
+        tuple((a.cols + j, x * (d // db)) for j, x in row) for row in brows
+    )
+    return Mat._of(a.cols + b.cols, d, rows)
 
 
 @dataclass(frozen=True)
@@ -262,18 +278,18 @@ def validate_kind(m: Mat, kind: MatrixKind) -> list[KindViolation]:
     """
     if kind is MatrixKind.UNCONSTRAINED:
         return []
+    d, rows = m.integer_form()
+    bad: dict[int, tuple[int, int]] = {}  # column -> (row, numerator) of its first entry outside [0, 1]
+    if kind is MatrixKind.STOCHASTIC:
+        for k, row in enumerate(rows):
+            for j, a in row:
+                if not 0 <= a <= d:
+                    bad.setdefault(j, (k, a))
     out = []
-    for j in range(m.cols):
-        total = ZERO
-        bad_entry = None
-        for k in range(m.rows):
-            x = m.data[k][j]
-            total += x
-            if bad_entry is None and kind is MatrixKind.STOCHASTIC and not (0 <= x <= 1):
-                bad_entry = (k, x)
+    for j, total in enumerate(m.column_sums()):
         if total != 1:
             out.append(KindViolation(j, f"sums to {render_rational(total)}, expected 1"))
-        if bad_entry is not None:
-            k, x = bad_entry
-            out.append(KindViolation(j, f"entry at row {k} is {render_rational(x)}, outside [0, 1]"))
+        if j in bad:
+            k, a = bad[j]
+            out.append(KindViolation(j, f"entry at row {k} is {render_rational(Fraction(a, d))}, outside [0, 1]"))
     return out

@@ -230,7 +230,7 @@ def dumps_automaton(machine: Machine) -> str:
                 lines.append("element")
                 lines.extend(" ".join(repr(float(x)) for x in row) for row in element)
         else:
-            lines.extend(" ".join(render_rational(x) for x in row) for row in entry.data)
+            lines.extend(" ".join(render_rational(x) for x in row) for row in entry.tolists())
     return "\n".join(lines) + "\n"
 
 

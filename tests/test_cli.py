@@ -332,6 +332,35 @@ def test_construct_counters_from_spec_file(tmp_path, capsys):
 # The README's balance.cm: COUNTER with scale 2.
 README_BALANCE = COUNTER.replace("counters 1\n", "counters 1\nscale 2\n")
 
+# Three controller states, two counters with mixed increments, scale 2.
+MIXED_COUNTERS = """\
+kind counters
+states p q r
+alphabet a b
+initial p
+accepting p r
+counters 2
+scale 2
+
+transition p a q
+transition p b r
+transition q a r
+transition q b p
+transition r a p
+transition r b r
+increment p a 1 -1
+increment p b 0 2
+increment q a -2 0
+increment q b 1 1
+increment r a 0 -1
+increment r b 3 0
+"""
+
+# One controller state and six counters: 3**6 states, at COUNTER_STATE_CAP.
+CAP_COUNTERS = COUNTER.replace("counters 1", "counters 6").replace(
+    "only a 1", "only a 1 0 -1 2 0 1"
+).replace("only b -1", "only b -1 1 0 0 2 -1")
+
 GOLDEN_MACHINES = [
     (["zoo", "m1_eq"], "6cda8fa63a4858f5067358d89f711f8469fa7ea8290432a0ee2c085c9b52afb1"),
     (["zoo", "m2_eq", "--x", "3"], "763c470967b0e9ee27064fd323d52eef9f175231f6bf86cd81b143c92ddfd921"),
@@ -352,6 +381,8 @@ GOLDEN_MACHINES = [
     (["construct", "pfa-to-nafa", "{pfa}"], "13b0193d1bd21b083023fdf2f11f564e918d0dfc8bbb322c1b20fa7482cecf4f"),
     (["construct", "tensor", "{m1}", "{m1}"], "b8d88065c454ec11dc335a01651f6e5c85b7da79538ff65b8dd98a5c4b39ebae"),
     (["construct", "counters", "{balance}"], "45973a9782eac544111f24d856fc7b61442da519438411f48b04615dcbd05d2b"),
+    (["construct", "counters", "{mixed}"], "744e8845e32fd6796ddccf129f5ffae017c693ebb2963145ae0ed5eee78dd4ab"),
+    (["construct", "counters", "{cap}"], "101ab12e530d25ba9c36a5f3daec8c056e56af765ca2fb0571866f20d7e123a0"),
 ]
 
 
@@ -369,6 +400,8 @@ GOLDEN_MACHINES = [
         "pfa-to-nafa",
         "tensor",
         "counters",
+        "counters-mixed",
+        "counters-cap",
     ],
 )
 def test_written_machines_match_their_golden_digests(tmp_path, argv, digest):
@@ -380,8 +413,12 @@ def test_written_machines_match_their_golden_digests(tmp_path, argv, digest):
     pfa.write_text(dumps_automaton(rand.random_pfa(random.Random(0), 3)))
     balance = tmp_path / "balance.cm"
     balance.write_text(README_BALANCE)
+    mixed = tmp_path / "mixed.cm"
+    mixed.write_text(MIXED_COUNTERS)
+    cap = tmp_path / "cap.cm"
+    cap.write_text(CAP_COUNTERS)
     out = tmp_path / "out.afa"
-    args = [part.format(m1=m1, pfa=pfa, balance=balance) for part in argv]
+    args = [part.format(m1=m1, pfa=pfa, balance=balance, mixed=mixed, cap=cap) for part in argv]
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

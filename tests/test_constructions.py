@@ -466,6 +466,19 @@ def test_counter_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "column, violation",
+    [((1, 1), "sums to 2, expected 1"), (("1/2", "1/2"), "entry at row 0 is not 0 or 1")],
+    ids=["ones", "halves"],
+)
+def test_counter_spec_refuses_an_invalid_controller(column, violation):
+    # A (1, 1) column used to compile into a valid-looking affine machine.
+    a = Mat.from_cols([column, (0, 1)])
+    d = ClassicalAutomaton.build("dfa", ("p", "q"), ("a",), {"a": a}, 0, {0})
+    with pytest.raises(ValueError, match=f"first: symbol a, column 0: {violation}"):
+        CounterMachineSpec(dfa=d, counters=1, increments={(0, "a"): (1,), (1, "a"): (0,)})
+
+
 @pytest.mark.parametrize("states, counters", [(2, 6), (1, 7), (1, 10**9)])
 def test_counter_compilation_over_the_state_cap_raises(states, counters):
     # Checked before any matrix is built, so even 3**(10**9) states fail fast.

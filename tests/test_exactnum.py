@@ -191,6 +191,101 @@ def test_direct_sum_blocks():
     assert d[0, 1] == ZERO and d[2, 0] == ZERO
 
 
+# ------------------------------------------------------ dense reference
+#
+# Plain nested-list Fraction loops: the definitions the stored nonzero
+# form has to agree with.
+
+
+def dense_kron(a, b):
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+def dense_direct_sum(a, b):
+    return [row + [ZERO] * len(b[0]) for row in a] + [[ZERO] * len(a[0]) + row for row in b]
+
+
+def dense_matmul(a, b):
+    return [
+        [sum((a[k][i] * b[i][j] for i in range(len(b))), ZERO) for j in range(len(b[0]))]
+        for k in range(len(a))
+    ]
+
+
+def dense_identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def dense_column_sums(a):
+    return tuple(sum((row[j] for row in a), ZERO) for j in range(len(a[0])))
+
+
+def dense_violations(a, kind):
+    out = []
+    for j, total in enumerate(dense_column_sums(a)):
+        if total != 1:
+            out.append(f"column {j}: sums to {total}, expected 1")
+        bad = [(k, row[j]) for k, row in enumerate(a) if not 0 <= row[j] <= 1]
+        if kind is MatrixKind.STOCHASTIC and bad:
+            out.append(f"column {j}: entry at row {bad[0][0]} is {bad[0][1]}, outside [0, 1]")
+    return out
+
+
+@st.composite
+def dense_matrices(draw, rows=None, cols=None):
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    # Signed rationals, unit-interval entries, or integers; zeros are common.
+    entry = draw(st.sampled_from([rationals, st.fractions(0, 1, max_denominator=6), st.integers(-3, 3).map(Fraction)]))
+    data = [
+        [ZERO] * cols if draw(st.booleans()) else draw(st.lists(st.just(ZERO) | entry, min_size=cols, max_size=cols))
+        for _ in range(rows)
+    ]
+    if draw(st.booleans()):
+        # Make every column sum to one, so valid kinds show up too.
+        for j in range(cols):
+            data[-1][j] = ONE - sum((row[j] for row in data[:-1]), ZERO)
+    return data
+
+
+@st.composite
+def chained_matrices(draw):
+    a = draw(dense_matrices())
+    return a, draw(dense_matrices(rows=len(a[0])))
+
+
+def test_sparse_algebra_cancels_denominators():
+    one = Mat([[1]])
+    for m in (kron(Mat([["1/2"]]), Mat([[2]])), Mat([["1/2"]]) @ Mat([[2]])):
+        assert m == one and hash(m) == hash(one)
+        assert m.integer_form() == (1, (((0, 1),),))
+    assert direct_sum(Mat([["1/2"]]), Mat([["1/3"]])).integer_form() == (6, (((0, 3),), ((1, 2),)))
+    # Entries that cancel to zero are not stored.
+    assert (Mat([[1, 1]]) @ Mat([[1], [-1]])).integer_form() == (1, ((),))
+
+
+@given(chained_matrices())
+def test_sparse_algebra_matches_dense_fraction_loops(pair):
+    a, b = pair
+    ma, mb = Mat(a), Mat(b)
+    assert ma.tolists() == a and Mat(ma.tolists()) == ma and hash(Mat(ma.tolists())) == hash(ma)
+    for got, want in (
+        (kron(ma, mb), dense_kron(a, b)),
+        (kron(mb, ma), dense_kron(b, a)),
+        (direct_sum(ma, mb), dense_direct_sum(a, b)),
+        (ma @ mb, dense_matmul(a, b)),
+        (ma @ Mat.identity(ma.cols), a),
+        (Mat.identity(ma.rows), dense_identity(len(a))),
+    ):
+        # Equal matrices have one canonical form, so equality and hash agree.
+        assert got.tolists() == want
+        assert got == Mat(want) and hash(got) == hash(Mat(want))
+        assert got.integer_form() == Mat(want).integer_form()
+    assert ma.column_sums() == dense_column_sums(a)
+    for kind in (MatrixKind.AFFINE, MatrixKind.STOCHASTIC):
+        assert [str(v) for v in validate_kind(ma, kind)] == dense_violations(a, kind)
+
+
 # ------------------------------------------------------------ integer kernel
 
 
