@@ -224,23 +224,40 @@ def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
 
 
 def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tuple[str, object]]:
-    """Yield ``(w, readout(state of w))`` for every ``len(w) <= maxlen``.
+    """Yield ``(w, value of w)`` for every ``len(w) <= maxlen``.
 
-    ``start`` is the state of the empty string and ``children(state)``
-    the states one symbol on, in alphabet order. Strings come out in
-    length order, lexicographic within a length; each level of states is
-    built only when the generator reaches it.
+    States travel in blocks, each holding the states of consecutive
+    strings of one length. ``start`` is the block of the empty string;
+    ``children(block)`` yields the blocks one symbol on, which together
+    hold each state's children in alphabet order; ``readout(block)`` gives
+    one value per state. Strings come out in length order, lexicographic
+    within a length. A level's blocks are made only as the generator
+    reaches them and are read out as they are made; each block is dropped
+    once its children are made, and the deepest level's blocks are not
+    kept.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
-    level, length = [start], 0
-    while level:
-        for letters, state in zip(product(alphabet, repeat=length), level):
-            yield "".join(letters), readout(state)
-        if length == maxlen:
+    blocks: Iterable = [start]
+    for length in range(maxlen + 1):
+        words = map("".join, product(alphabet, repeat=length))
+        kept = []
+        for block in blocks:
+            # Values first: zip stops on them without drawing a spare word.
+            for value, w in zip(readout(block), words):
+                yield w, value
+            if length < maxlen and len(block):
+                kept.append(block)
+        if not kept:
             return
-        level = [child for state in level for child in children(state)]
-        length += 1
+        blocks = _children_in_turn(kept, children)
+
+
+def _children_in_turn(blocks: list, children) -> Iterator:
+    # Popped, so that each block is freed as soon as its children are made.
+    blocks.reverse()
+    while blocks:
+        yield from children(blocks.pop())
 
 
 def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[str, Fraction]]:
@@ -265,7 +282,13 @@ def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[st
     def readout(state: ExactState) -> Fraction:
         return _readout(machine, table[DOLLAR].step(state))
 
-    yield from _length_lex(machine.alphabet, maxlen, table[CENT].step(_initial(machine)), children, readout)
+    yield from _length_lex(
+        machine.alphabet,
+        maxlen,
+        [table[CENT].step(_initial(machine))],
+        lambda states: [[child for state in states for child in children(state)]],
+        lambda states: map(readout, states),
+    )
 
 
 def _check_partition(partition: Iterable[Iterable[int]], n: int) -> list[tuple[int, ...]]:

@@ -19,8 +19,19 @@ from .automata import CENT, DOLLAR, _check_machine, _check_partition, _length_le
 
 DEFAULT_KAPPA = 1e-9
 
+#: Floats of densities that qfa_prefix_values steps through one channel
+#: call; chosen by timing the enumeration of the benchmark's machines.
+BLOCK_FLOATS = 32 * 1024
+
 #: Refuse branching evaluation trees with more leaves than this.
 DEFAULT_TREE_CAP = 10**6
+
+
+def _quiet():
+    # Overflow shows in the result (an infinite deviation, a non-finite
+    # acceptance), which callers report; numpy's warnings would only add
+    # stray lines on stderr.
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _as_operator(entries) -> np.ndarray:
@@ -59,8 +70,9 @@ class Superoperator:
     def kraus_deviation(self) -> float:
         """Largest absolute entry of sum_j E_j^T E_j minus the identity."""
         total = np.zeros((self.dim, self.dim))
-        for e in self.elements:
-            total += e.T @ e
+        with _quiet():
+            for e in self.elements:
+                total += e.T @ e
         return float(np.abs(total - np.eye(self.dim)).max())
 
     def __eq__(self, other) -> bool:
@@ -87,13 +99,20 @@ def validate_channel(channel: Superoperator, kappa: float = DEFAULT_KAPPA) -> Ch
 
 
 def apply_channel(channel: Superoperator, rho: np.ndarray) -> np.ndarray:
-    """Evolve a density matrix: sum_j E_j rho E_j^T. Preserves trace for valid channels."""
+    """Evolve a density matrix, or a stack of them: sum_j E_j rho E_j^T.
+
+    ``rho`` is one ``(d, d)`` density or an ``(N, d, d)`` stack; each
+    density of a stack gets the same products in the same element order
+    as on its own, so the results agree bit for bit. Preserves trace for
+    valid channels.
+    """
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (channel.dim, channel.dim):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (channel.dim, channel.dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match channel dimension {channel.dim}")
     out = np.zeros_like(rho)
-    for e in channel.elements:
-        out += e @ rho @ e.T
+    with _quiet():
+        for e in channel.elements:
+            out += e @ rho @ e.T
     return out
 
 
@@ -170,14 +189,30 @@ class QuantumAutomaton:
 
 def qfa_final_density(machine: QuantumAutomaton, w: str) -> np.ndarray:
     """Density matrix after reading ``cent + w + dollar``."""
-    rho = basis_density(machine.size, machine.initial)
+    # Stepped as a stack of one, as qfa_prefix_values steps its blocks.
+    rho = basis_density(machine.size, machine.initial)[None]
     for channel in _operators(machine, machine.channels, w):
         rho = apply_channel(channel, rho)
-    return rho
+    return rho[0]
 
 
-def _accept_from_density(machine: QuantumAutomaton, rho: np.ndarray) -> float:
-    raw = float(sum(rho[k, k] for k in machine.accepting))
+def _accept_from_density(machine: QuantumAutomaton, rhos: np.ndarray) -> np.ndarray:
+    """Unclamped accepting mass of each density of an ``(N, d, d)`` stack.
+
+    The accepting diagonal entries are added from 0 in
+    ``machine.accepting`` order, for every density at once.
+    """
+    raw = np.zeros(len(rhos))
+    for k in machine.accepting:
+        raw += rhos[:, k, k]
+    return raw
+
+
+def _clamped(w: str, raw: float) -> float:
+    if not math.isfinite(raw):
+        raise ValueError(
+            f"acceptance of {w!r} is {raw!r}, not a finite number: the machine's channels are not valid"
+        )
     return min(1.0, max(0.0, raw))
 
 
@@ -186,31 +221,49 @@ def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
 
     The unclamped value can stray from the interval by at most the
     accumulated float error, on the order of ``DEFAULT_KAPPA`` for valid
-    channels.
+    channels. A value that is not finite (the channels overflowed) raises
+    ``ValueError`` naming ``w``.
     """
-    return _accept_from_density(machine, qfa_final_density(machine, w))
+    raw = _accept_from_density(machine, qfa_final_density(machine, w)[None])
+    return _clamped(w, float(raw[0]))
 
 
 def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[str, float]]:
     """Quantum twin of :func:`afalib.automata.prefix_values`, same ordering.
 
-    Per-string values equal :func:`qfa_accept` exactly, float for float.
-    Unlike the exact lane nothing is cached by state: float densities
-    almost never repeat bit for bit (the 32,767, 8,191 and 3,280 strings
-    of the ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and
+    Per-string values equal :func:`qfa_accept` exactly, float for float:
+    both step stacks of densities through :func:`apply_channel` and read
+    them out with the same sums. Each length level is stepped as
+    ``(N, d, d)`` stacks in blocks of at most ``BLOCK_FLOATS`` floats:
+    each symbol's channel steps a whole block in one call, and the block
+    of children this makes is read out at once. The deepest level is read
+    out block by block and never stored. Nothing is cached by state: float
+    densities almost never repeat bit for bit (the 32,767, 8,191 and 3,280
+    strings of the ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and
     ``lapins`` to lengths 14, 12 and 7 reach as many distinct densities),
-    so a table keyed by density would only cost memory. Each string's
-    density is stepped once from its parent's.
+    so a table keyed by density would only cost memory. A value that is
+    not finite raises ``ValueError`` naming its string.
     """
     channels = machine.channels
     steps = [channels[sym] for sym in machine.alphabet]
-    yield from _length_lex(
-        machine.alphabet,
-        maxlen,
-        apply_channel(channels[CENT], basis_density(machine.size, machine.initial)),
-        lambda rho: [apply_channel(channel, rho) for channel in steps],
-        lambda rho: _accept_from_density(machine, apply_channel(channels[DOLLAR], rho)),
-    )
+    size = machine.size
+    rows = max(1, BLOCK_FLOATS // (size * size))
+
+    def children(rhos: np.ndarray) -> Iterator[np.ndarray]:
+        for i in range(0, len(rhos), rows):
+            part = rhos[i : i + rows]
+            # kids[n, j] is the child of density n on symbol j: length-lex order.
+            kids = np.empty((len(part), len(steps), size, size))
+            for j, channel in enumerate(steps):
+                kids[:, j] = apply_channel(channel, part)
+            yield kids.reshape(-1, size, size)
+
+    def readout(rhos: np.ndarray) -> list[float]:
+        return _accept_from_density(machine, apply_channel(channels[DOLLAR], rhos)).tolist()
+
+    start = apply_channel(channels[CENT], basis_density(size, machine.initial)[None])
+    for w, raw in _length_lex(machine.alphabet, maxlen, start, children, readout):
+        yield w, _clamped(w, raw)
 
 
 def projective_measure(

@@ -8,12 +8,14 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from afalib import rand
 from afalib.cli import main, render_report
-from afalib.constructions import abs_eq, lapins, m1_eq, m2_eq
+from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
 from afalib.fileformat import dumps_automaton, load_automaton, loads_counter_spec
+from afalib.quantum import QuantumAutomaton, Superoperator
 from afalib.recognition import BUILTIN_ORACLES, sweep
 
 BAD_COLUMN = """\
@@ -144,6 +146,26 @@ def test_run_quantum_machine(tmp_path, m1_path, capsys):
     assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", "{qfa}", "--input", "a"], ["sweep", "{qfa}", "--cutpoint", "1/2", "--oracle", "eq", "--maxlen", "3"]],
+    ids=["run", "sweep"],
+)
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_quantum_acceptance_is_an_error(tmp_path, capsys, command):
+    # Reading 'a' squares 1e200: the density overflows, so 'a' has no value to judge.
+    qfa = tmp_path / "overflow.qfa"
+    element = np.array([[1e200, 0.0], [-1e200, 1.0]])
+    channels = {"a": Superoperator((element,)), "b": Superoperator.identity(2)}
+    machine = QuantumAutomaton.build(("p", "q"), ("a", "b"), channels, 0, (1,))
+    qfa.write_text(dumps_automaton(machine))
+    assert main([part.format(qfa=qfa) for part in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: acceptance of 'a' is ")
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -184,13 +206,14 @@ GOLDEN_REPORTS = [
     (lapins, "1/2", "cutpoint", "lapins", 6, "a21559e46a14770409cad464382d8ca87c80e7811fce4f6e57a980a33c8423df"),
     (lambda: m2_eq(x=3), "1/7", "exclusive", "eq", 11, "d657d63890804870e97e0a3fc9ccce381aa5e2d7780ab767e497b580c25cec88"),
     (m1_eq, "0", "nondet", "eq", 10, "d6367fae1f9fa2bb95ec5c1c20f2b182d87c5ec8d913ab78242c8b8242f6d601"),
+    (lambda: afa_to_nqfa(abs_eq()), "0", "nondet", "abseq", 10, "434d9bbdfcf933e6c3e57d16c6dc43f73d99a14640d25f7ea71691a6c22b40a6"),
 ]
 
 
 @pytest.mark.parametrize(
     "build, cutpoint, mode, oracle, maxlen, digest",
     GOLDEN_REPORTS,
-    ids=["m1_eq", "m2_eq", "abs_eq", "lapins", "m2_eq-exclusive", "m1_eq-nondet"],
+    ids=["m1_eq", "m2_eq", "abs_eq", "lapins", "m2_eq-exclusive", "m1_eq-nondet", "afa_to_nqfa(abs_eq)-nondet"],
 )
 def test_sweep_reports_match_their_golden_digests(build, cutpoint, mode, oracle, maxlen, digest):
     # Pinned digests: any change to a value, a verdict or the report

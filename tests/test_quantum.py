@@ -1,13 +1,15 @@
 """Tests for superoperator channels and the quantum machine semantics."""
 
+import hashlib
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from afalib.automata import prefix_values
-from afalib.constructions import afa_to_nqfa, m1_eq
+from afalib.automata import dfa_automaton, prefix_values
+from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq
 from afalib.quantum import (
     QuantumAutomaton,
     Superoperator,
@@ -29,6 +31,17 @@ from afalib.rand import random_channel, random_qfa
 def rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def overflowing_machine() -> QuantumAutomaton:
+    """Its 'a' element squares 1e200: reading 'a' makes the density infinite."""
+    return QuantumAutomaton.build(
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        channels={"a": Superoperator((np.array([[1e200, 0.0], [-1e200, 1.0]]),)), "b": Superoperator.identity(2)},
+        initial=0,
+        accepting=(1,),
+    )
 
 
 def rotation_machine(theta: float) -> QuantumAutomaton:
@@ -82,6 +95,25 @@ def test_random_channels_are_valid():
         ch = random_channel(rng, n, elements)
         assert len(ch.elements) == elements
         assert validate_channel(ch).ok
+
+
+def test_apply_channel_steps_a_stack_as_its_densities_one_by_one():
+    # Bit for bit: qfa_prefix_values steps stacks, qfa_accept one density.
+    rng = np.random.default_rng(23)
+    for n, elements, count in ((2, 2, 1), (3, 3, 7), (5, 4, 40)):
+        ch = random_qfa(rng, n=n, elements=elements).channels["a"]
+        stack = rng.standard_normal((count, n, n))
+        stack = stack + stack.transpose(0, 2, 1)
+        out = apply_channel(ch, stack)
+        assert out.shape == stack.shape
+        for got, rho in zip(out, stack):
+            assert np.array_equal(got, apply_channel(ch, rho))
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 4), (3,), (2, 4, 3, 3)], ids=["N,d,d+1", "1-D", "4-D"])
+def test_apply_channel_rejects_stacks_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match="does not match channel dimension 3"):
+        apply_channel(Superoperator.identity(3), np.zeros(shape))
 
 
 def test_trace_preserved_by_valid_channels():
@@ -177,21 +209,65 @@ def test_qfa_prefix_values_match_direct_evaluation():
 
 @pytest.mark.parametrize(
     "machine, maxlen",
-    [(afa_to_nqfa(m1_eq()), 6), (random_qfa(np.random.default_rng(11), n=3, elements=2), 5)],
-    ids=["afa_to_nqfa(m1_eq)", "random_qfa"],
+    [
+        (afa_to_nqfa(m1_eq()), 6),
+        (random_qfa(np.random.default_rng(11), n=3, elements=2), 5),
+        # 50 states: a level of length 4 spans several blocks.
+        (afa_to_nqfa(lapins()), 4),
+        # Several accepting states: the readout's order of addition shows.
+        (replace(random_qfa(np.random.default_rng(29), n=6, elements=3), accepting=frozenset({5, 0, 3})), 5),
+    ],
+    ids=["afa_to_nqfa(m1_eq)", "random_qfa", "afa_to_nqfa(lapins)", "random_qfa-3-accepting"],
 )
 def test_qfa_prefix_values_equal_qfa_accept_bit_for_bit(machine, maxlen):
     # Same channels in the same order from the same start: no float may differ.
     rows = list(qfa_prefix_values(machine, maxlen))
-    assert [w for w, _ in rows] == ["".join(p) for n in range(maxlen + 1) for p in product("ab", repeat=n)]
+    letters = "".join(machine.alphabet)
+    assert [w for w, _ in rows] == ["".join(p) for n in range(maxlen + 1) for p in product(letters, repeat=n)]
     for w, value in rows:
         assert value == qfa_accept(machine, w)
+
+
+# sha256 of one "w value.hex()" line per string, taken before levels were
+# stepped in blocks (the same with 1 and 2 BLAS threads). At these lengths
+# the deepest levels span several blocks.
+FLOAT_DIGESTS = [
+    (m1_eq, 13, "4df923a7b6f950d8d2aa33830e3c21add4955a501e9817e9498eb1611dbcba65"),
+    (abs_eq, 10, "61f112080ea2f5024c8de98b17bae821a57ad5237c89f900112f2e4294150b7b"),
+    (lapins, 5, "7b9941b9418c1328fc8f83725b938fa2f0745832e03ac48d4a448c1618ed09f1"),
+]
+
+
+@pytest.mark.parametrize("build, maxlen, digest", FLOAT_DIGESTS, ids=["m1_eq", "abs_eq", "lapins"])
+def test_qfa_prefix_values_match_their_pinned_floats(build, maxlen, digest):
+    text = "".join(f"{w} {value.hex()}\n" for w, value in qfa_prefix_values(afa_to_nqfa(build()), maxlen))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_acceptance_raises_naming_the_string():
+    m = overflowing_machine()
+    assert "inf" in m.violations()[0]
+    assert qfa_accept(m, "b") == 0.0
+    with pytest.raises(ValueError, match="acceptance of 'a' is .*not a finite number"):
+        qfa_accept(m, "a")
+    values = qfa_prefix_values(m, 2)
+    assert next(values) == ("", 0.0)
+    with pytest.raises(ValueError, match="acceptance of 'a' is .*not a finite number"):
+        next(values)
 
 
 def test_qfa_prefix_values_stays_lazy():
     values = qfa_prefix_values(afa_to_nqfa(m1_eq()), 10**6)
     assert next(values)[0] == ""
     assert next(values)[0] == "a"
+
+
+def test_prefix_values_stop_when_the_alphabet_is_empty_in_both_lanes():
+    dfa = dfa_automaton(states=("p",), alphabet=(), moves={}, initial="p", accepting=("p",))
+    assert list(prefix_values(dfa, 10**6)) == [("", 1)]
+    m = QuantumAutomaton.build(states=("p",), alphabet=(), channels={}, initial=0, accepting=(0,))
+    assert list(qfa_prefix_values(m, 10**6)) == [("", 1.0)]
 
 
 def test_prefix_values_reject_negative_maxlen_in_both_lanes():
