@@ -27,6 +27,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import (
+    ONE,
     ZERO,
     ExactState,
     Mat,
@@ -371,16 +372,16 @@ def dfa_automaton(
     n = len(states)
     transitions = {}
     for sym in alphabet:
-        cols = []
-        for name in states:
+        entries = {}
+        for j, name in enumerate(states):
             key = (name, sym)
             if key not in moves:
                 raise ValueError(f"transition table is missing {key!r}")
             target = moves[key]
             if target not in index:
                 raise ValueError(f"unknown target state {target!r}")
-            cols.append(basis_vector(n, index[target]))
-        transitions[sym] = Mat.from_cols(cols)
+            entries[index[target], j] = ONE
+        transitions[sym] = Mat._sparse(n, n, entries)
     acc = []
     for name in accepting:
         if name not in index:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .automata import CENT, DOLLAR, ClassicalAutomaton, CounterMachineSpec
-from .exactnum import ONE, ZERO, Mat, basis_vector, direct_sum, kron
+from .exactnum import ONE, ZERO, Mat, direct_sum, kron
 from .quantum import QuantumAutomaton, Superoperator
 
 __all__ = [
@@ -209,22 +209,18 @@ def lapins() -> ClassicalAutomaton:
     """
     product = tensor(_lapins_left(), _lapins_right())
     n = product.size
-    cols = [list(basis_vector(n, j)) for j in range(n)]
-
-    def route(j: int, targets: list[tuple[int, Fraction]]):
-        col = [ZERO] * n
-        for k, weight in targets:
-            col[k] = weight
-        cols[j] = col
-
     half = Fraction(1, 2)
-    route(0, [(0, ONE)])          # x^2 (y^2 - z)
-    route(1, [(1, ONE)])          # x^2 (1 - y^2 + z)
-    route(5, [(2, ONE)])          # y (y^2 - z), summed with:
-    route(6, [(2, ONE)])          # y (1 - y^2 + z), together just y
-    route(10, [(3, half), (4, half)])  # (1 - x^2 - y)(y^2 - z), split into the twin pads
-    route(11, [(3, half), (4, half)])  # (1 - x^2 - y)(1 - y^2 + z)
-    return _append_stage(product, (), Mat.from_cols(cols), {0, 3})
+    # Column j of the stage sends its entry to routes[j]; unrouted columns stay put.
+    routes = {
+        0: {0: ONE},  # x^2 (y^2 - z)
+        1: {1: ONE},  # x^2 (1 - y^2 + z)
+        5: {2: ONE},  # y (y^2 - z), summed with:
+        6: {2: ONE},  # y (1 - y^2 + z), together just y
+        10: {3: half, 4: half},  # (1 - x^2 - y)(y^2 - z), split into the twin pads
+        11: {3: half, 4: half},  # (1 - x^2 - y)(1 - y^2 + z)
+    }
+    stage = {(k, j): weight for j in range(n) for k, weight in routes.get(j, {j: ONE}).items()}
+    return _append_stage(product, (), Mat._sparse(n, n, stage), {0, 3})
 
 
 _ZOO = {"m1_eq": m1_eq, "m2_eq": m2_eq, "lapins": lapins, "abs_eq": abs_eq}
@@ -290,17 +286,13 @@ def shift_interior(machine: ClassicalAutomaton, lam1, lam2) -> ClassicalAutomato
     n = machine.size
     scale_acc = lam2 / lam1
     scale_rej = (1 - lam2) / (1 - lam1)
-    cols = []
+    stage = {(n, n): ONE, (n + 1, n + 1): ONE}
     for j in range(n):
         c = scale_acc if j in machine.accepting else scale_rej
-        col = [ZERO] * (n + 2)
-        col[j] = c
-        col[n] = lam2 * (1 - c)
-        col[n + 1] = (1 - lam2) * (1 - c)
-        cols.append(col)
-    cols.append(list(basis_vector(n + 2, n)))
-    cols.append(list(basis_vector(n + 2, n + 1)))
-    return _append_stage(machine, ("pad.acc", "pad.rej"), Mat.from_cols(cols), machine.accepting | {n})
+        stage[j, j] = c
+        stage[n, j] = lam2 * (1 - c)
+        stage[n + 1, j] = (1 - lam2) * (1 - c)
+    return _append_stage(machine, ("pad.acc", "pad.rej"), Mat._sparse(n + 2, n + 2, stage), machine.accepting | {n})
 
 
 def shift_extreme(machine: ClassicalAutomaton, side: str, lam) -> ClassicalAutomaton:
@@ -334,15 +326,13 @@ def shift_extreme(machine: ClassicalAutomaton, side: str, lam) -> ClassicalAutom
         needed = "non-accepting" if side == "zero" else "accepting"
         raise ValueError(f"side={side!r} needs at least one {needed} state")
     k = len(targets)
-    cols = [list(basis_vector(n + k, j)) for j in range(n + k)]
+    stage = {(j, j): ONE for j in range(n + k)}
     for i, j in enumerate(targets):
-        col = [ZERO] * (n + k)
-        col[j] = keep
-        col[n + i] = move
-        cols[j] = col
+        stage[j, j] = keep
+        stage[n + i, j] = move
     partners = tuple(f"{machine.states[j]}.{suffix}" for j in targets)
     accepting = machine.accepting | set(range(n, n + k)) if side == "zero" else machine.accepting
-    return _append_stage(machine, partners, Mat.from_cols(cols), accepting)
+    return _append_stage(machine, partners, Mat._sparse(n + k, n + k, stage), accepting)
 
 
 def exclusive_pfa_to_nafa(machine: ClassicalAutomaton) -> ClassicalAutomaton:
@@ -358,12 +348,7 @@ def exclusive_pfa_to_nafa(machine: ClassicalAutomaton) -> ClassicalAutomaton:
     if machine.kind not in ("pfa", "dfa"):
         raise ValueError("the exclusive construction starts from a probabilistic machine")
     n = max(machine.size, 2)
-    collect_cols = []
-    for j in range(n):
-        col = [ZERO] * n
-        col[1 if j in machine.accepting else 0] = ONE
-        collect_cols.append(col)
-    collect = Mat.from_cols(collect_cols)
+    collect = Mat._sparse(n, n, {(1 if j in machine.accepting else 0, j): ONE for j in range(n)})
     fold = Mat([[1, -1], [0, 2]])
     if n > 2:
         fold = direct_sum(fold, Mat.identity(n - 2))
@@ -504,26 +489,22 @@ def compile_blind_counters(spec: CounterMachineSpec) -> ClassicalAutomaton:
 # arithmetic encoders
 
 
-def count_encoding(m: int) -> tuple[Fraction, ...]:
-    """(1, m) after m applications of the unit-increment step to (1, 0)."""
+def _iterate(step: Mat, v: tuple[Fraction, ...], m: int) -> tuple[Fraction, ...]:
     if m < 0:
         raise ValueError("counts are nonnegative")
-    step = Mat([[1, 0], [1, 1]])
-    v: tuple[Fraction, ...] = (ONE, ZERO)
     for _ in range(m):
         v = step.apply(v)
     return v
+
+
+def count_encoding(m: int) -> tuple[Fraction, ...]:
+    """(1, m) after m applications of the unit-increment step to (1, 0)."""
+    return _iterate(Mat([[1, 0], [1, 1]]), (ONE, ZERO), m)
 
 
 def square_encoding(m: int) -> tuple[Fraction, ...]:
     """(1, 2m+1, m^2) after m applications of the squaring step to (1, 1, 0)."""
-    if m < 0:
-        raise ValueError("counts are nonnegative")
-    step = Mat([[1, 0, 0], [2, 1, 0], [0, 1, 1]])
-    v: tuple[Fraction, ...] = (ONE, ONE, ZERO)
-    for _ in range(m):
-        v = step.apply(v)
-    return v
+    return _iterate(Mat([[1, 0, 0], [2, 1, 0], [0, 1, 1]]), (ONE, ONE, ZERO), m)
 
 
 def encoder(kind: str, m: int) -> tuple[Fraction, ...]:

@@ -7,8 +7,9 @@ is the weight carried from state ``j`` to state ``k``, and state column
 vectors evolve by left multiplication, ``v2 = m.apply(v)``.
 
 A matrix is stored only as its integer form: each row's nonzero
-``(column, numerator)`` pairs over one common denominator. The algebra
-works over these nonzeros and derives the dense view on demand.
+``(column, numerator)`` pairs over one common denominator. Every matrix
+is built from its nonzero entries, the algebra works over them, and the
+dense view is derived on demand.
 :meth:`Mat.step` applies the form to an :data:`ExactState`, a
 vector written as integer numerators over one positive denominator with
 no common factor, so each exact vector has exactly one such form and can
@@ -109,21 +110,35 @@ class MatrixKind(Enum):
     UNCONSTRAINED = "unconstrained"
 
 
+def _nonzeros(lines: Iterable[Iterable], kind: str) -> tuple[int, int, dict[tuple[int, int], Fraction]]:
+    """``(count, length, {(i, j): x})``: the nonzero entries ``x = lines[i][j]`` of equal-length lines."""
+    data = [[_entry(x) for x in line] for line in lines]
+    if not data or not data[0]:
+        raise ValueError("matrices need at least one row and one column")
+    length = len(data[0])
+    if any(len(line) != length for line in data):
+        raise ValueError(f"ragged matrix {kind}")
+    return len(data), length, {(i, j): x for i, line in enumerate(data) for j, x in enumerate(line) if x}
+
+
 class Mat:
     """Immutable matrix of exact rationals, stored as its :meth:`integer_form`."""
 
     __slots__ = ("rows", "cols", "_form")
 
     def __new__(cls, rows: Iterable[Iterable]):
-        data = [[_entry(x) for x in row] for row in rows]
-        if not data or not data[0]:
-            raise ValueError("matrices need at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged matrix rows")
-        d = math.lcm(*(x.denominator for row in data for x in row))
-        rows = tuple(tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x) for row in data)
-        return cls._of(width, d, rows)
+        height, width, entries = _nonzeros(rows, "rows")
+        return cls._sparse(height, width, entries)
+
+    @classmethod
+    def _sparse(cls, rows: int, cols: int, entries) -> "Mat":
+        """The ``rows`` x ``cols`` matrix with ``{(k, j): value}`` ``entries``, zero elsewhere."""
+        entries = {key: e for key, x in entries.items() if (e := _entry(x))}
+        d = math.lcm(*(x.denominator for x in entries.values()))
+        grouped = [[] for _ in range(rows)]
+        for (k, j), x in entries.items():
+            grouped[k].append((j, x.numerator * (d // x.denominator)))
+        return cls._of(cols, d, tuple(tuple(sorted(row)) for row in grouped))
 
     @classmethod
     def _of(cls, cols: int, d: int, rows) -> "Mat":
@@ -150,10 +165,8 @@ class Mat:
     @classmethod
     def from_cols(cls, cols: Iterable[Iterable]) -> "Mat":
         """Build from column vectors, matching how transitions are usually read."""
-        cols = [list(c) for c in cols]
-        if not cols:
-            raise ValueError("matrices need at least one column")
-        return cls([[cols[j][k] for j in range(len(cols))] for k in range(len(cols[0]))])
+        width, height, entries = _nonzeros(cols, "columns")
+        return cls._sparse(height, width, {(k, j): x for (j, k), x in entries.items()})
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         k, j = key

@@ -208,12 +208,12 @@ def _accept_from_density(machine: QuantumAutomaton, rhos: np.ndarray) -> np.ndar
     return raw
 
 
-def _clamped(w: str, raw: float) -> float:
+def _finite(w: str, raw: float) -> float:
     if not math.isfinite(raw):
         raise ValueError(
             f"acceptance of {w!r} is {raw!r}, not a finite number: the machine's channels are not valid"
         )
-    return min(1.0, max(0.0, raw))
+    return raw
 
 
 def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
@@ -225,7 +225,7 @@ def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
     ``ValueError`` naming ``w``.
     """
     raw = _accept_from_density(machine, qfa_final_density(machine, w)[None])
-    return _clamped(w, float(raw[0]))
+    return min(1.0, max(0.0, _finite(w, float(raw[0]))))
 
 
 def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[str, float]]:
@@ -263,7 +263,7 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
 
     start = apply_channel(channels[CENT], basis_density(size, machine.initial)[None])
     for w, raw in _length_lex(machine.alphabet, maxlen, start, children, readout):
-        yield w, _clamped(w, raw)
+        yield w, min(1.0, max(0.0, _finite(w, raw)))
 
 
 def projective_measure(
@@ -310,8 +310,9 @@ def leaf_vectors(
     if total > cap:
         raise ValueError(f"evaluation tree has {total} leaves, above the cap of {cap}")
     vectors = [np.eye(machine.size)[:, machine.initial].copy()]
-    for channel in _operators(machine, machine.channels, w):
-        vectors = [e @ v for v in vectors for e in channel.elements]
+    with _quiet():
+        for channel in _operators(machine, machine.channels, w):
+            vectors = [e @ v for v in vectors for e in channel.elements]
     return vectors
 
 
@@ -319,7 +320,9 @@ def leaf_acceptance(machine: QuantumAutomaton, w: str, cap: int = DEFAULT_TREE_C
     """Acceptance aggregated over tree leaves.
 
     Sums the squared accepting amplitudes across every leaf; for valid
-    channels this equals :func:`qfa_accept` up to float error.
+    channels this equals :func:`qfa_accept` up to float error. The sum is
+    not clamped, but one that is not finite raises as in :func:`qfa_accept`.
     """
     acc = sorted(machine.accepting)
-    return float(sum(float(np.sum(v[acc] ** 2)) for v in leaf_vectors(machine, w, cap)))
+    with _quiet():
+        return _finite(w, float(sum(float(np.sum(v[acc] ** 2)) for v in leaf_vectors(machine, w, cap))))

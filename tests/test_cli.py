@@ -406,6 +406,20 @@ GOLDEN_MACHINES = [
     (["construct", "counters", "{balance}"], "45973a9782eac544111f24d856fc7b61442da519438411f48b04615dcbd05d2b"),
     (["construct", "counters", "{mixed}"], "744e8845e32fd6796ddccf129f5ffae017c693ebb2963145ae0ed5eee78dd4ab"),
     (["construct", "counters", "{cap}"], "101ab12e530d25ba9c36a5f3daec8c056e56af765ca2fb0571866f20d7e123a0"),
+    # Surgery on the compiled MIXED_COUNTERS machine: 27 states, two
+    # accepting, scale-2 denominators.
+    (
+        ["construct", "shift-interior", "{mixed_afa}", "--from-cutpoint", "1/2", "--to-cutpoint", "1/3"],
+        "c1ed499fd317148140455746b7e54fc00c9d7c34e659a62674349e9ae1b4b81a",
+    ),
+    (
+        ["construct", "shift-zero", "{mixed_afa}", "--to-cutpoint", "1/3"],
+        "31de65f8f586693b907818eb5c40dfbac631ef956eb374e1abe604b1b5a73c0d",
+    ),
+    (
+        ["construct", "shift-one", "{mixed_afa}", "--to-cutpoint", "3/4"],
+        "db1611a6b9c855df87854297730145600eeeb912c8e0e850f8658c77998cec38",
+    ),
 ]
 
 
@@ -425,6 +439,9 @@ GOLDEN_MACHINES = [
         "counters",
         "counters-mixed",
         "counters-cap",
+        "shift-interior-mixed",
+        "shift-zero-mixed",
+        "shift-one-mixed",
     ],
 )
 def test_written_machines_match_their_golden_digests(tmp_path, argv, digest):
@@ -438,10 +455,12 @@ def test_written_machines_match_their_golden_digests(tmp_path, argv, digest):
     balance.write_text(README_BALANCE)
     mixed = tmp_path / "mixed.cm"
     mixed.write_text(MIXED_COUNTERS)
+    mixed_afa = tmp_path / "mixed.afa"
+    assert main(["construct", "counters", str(mixed), "--out", str(mixed_afa)]) == 0
     cap = tmp_path / "cap.cm"
     cap.write_text(CAP_COUNTERS)
     out = tmp_path / "out.afa"
-    args = [part.format(m1=m1, pfa=pfa, balance=balance, mixed=mixed, cap=cap) for part in argv]
+    args = [part.format(m1=m1, pfa=pfa, balance=balance, mixed=mixed, mixed_afa=mixed_afa, cap=cap) for part in argv]
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

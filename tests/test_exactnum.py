@@ -100,8 +100,24 @@ def test_mat_shape_and_indexing():
 
 
 def test_mat_rejects_ragged_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged matrix rows"):
         Mat([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("cols", [[[1], [2, 3]], [[1, 2], [3]]], ids=["longer-last", "shorter-last"])
+def test_mat_from_cols_rejects_ragged_columns(cols):
+    with pytest.raises(ValueError, match="ragged matrix columns"):
+        Mat.from_cols(cols)
+
+
+def test_rows_columns_and_nonzeros_build_the_same_matrix():
+    m = Mat([[1, "0", "-2/3"], [0, 0, 3], ["1/2", "0/5", 0]])
+    assert m.integer_form() == (6, (((0, 6), (2, -4)), ((2, 18),), ((0, 3),)))
+    assert Mat.from_cols([[1, 0, "1/2"], [0, 0, 0], ["-2/3", 3, 0]]) == m
+    assert Mat._sparse(3, 3, {(0, 0): 1, (0, 2): "-2/3", (1, 1): 0, (1, 2): 3, (2, 0): "1/2"}) == m
+    for build in (lambda: Mat([[0.5]]), lambda: Mat.from_cols([[0.5]]), lambda: Mat._sparse(1, 1, {(0, 0): 0.5})):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_identity_apply_is_noop():

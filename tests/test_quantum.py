@@ -305,6 +305,16 @@ def test_leaf_aggregate_matches_density_semantics():
             assert leaf_acceptance(m, w) == pytest.approx(qfa_accept(m, w), abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", ["a", "aa"])
+def test_a_non_finite_leaf_acceptance_raises_naming_the_string(w):
+    m = overflowing_machine()
+    assert leaf_acceptance(m, "b") == 0.0
+    assert len(leaf_vectors(m, w)) == 1  # its overflow warns nothing on stderr
+    with pytest.raises(ValueError, match=f"acceptance of '{w}' is .*not a finite number"):
+        leaf_acceptance(m, w)
+
+
 def test_leaf_enumeration_respects_the_cap():
     rng = np.random.default_rng(17)
     m = random_qfa(rng, n=2, elements=2)
