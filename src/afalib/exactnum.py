@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -49,12 +50,23 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str) or not _RATIONAL_FORM.match(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ValueError:
+        # Past Python's int/str digit cap; Decimal converts exactly and has no cap.
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def render_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`: lowest terms, no ``/1`` suffix."""
-    return str(value if type(value) is Fraction else Fraction(value))
+    value = value if type(value) is Fraction else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        # Past Python's int/str digit cap, as in parse_rational.
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def _entry(value) -> Fraction:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 from typing import Sequence, Union
 
 from .automata import KINDS, RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
@@ -230,7 +231,12 @@ def dumps_automaton(machine: Machine) -> str:
                 lines.append("element")
                 lines.extend(" ".join(repr(float(x)) for x in row) for row in element)
         else:
-            lines.extend(" ".join(render_rational(x) for x in row) for row in entry.tolists())
+            d, rows = entry.integer_form()
+            for row in rows:
+                cells = ["0"] * machine.size
+                for j, a in row:
+                    cells[j] = render_rational(Fraction(a, d))
+                lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -204,18 +204,24 @@ def sweep(
         )
     cutpoint = Fraction(0) if mode == "nondet" else Fraction(cutpoint)
     claims = _CLAIMS[mode]
+    # Counting languages reach few distinct values: decide each pair once.
+    verdicts: dict[tuple[Value, bool], str] = {}
     records = []
     for w, value in _machine_values(machine, maxlen):
-        member = oracle_eval(oracle, w)
-        sign = _sign(value, cutpoint, kappa)
-        if sign is None:
-            verdict = "indeterminate"
-        elif claims[sign + 1] == member:
-            verdict = "agree"
-        else:
-            verdict = "disagree"
+        # The alphabets match (checked above), so no per-letter check.
+        member = bool(oracle.membership(w))
+        verdict = verdicts.get((value, member))
+        if verdict is None:
+            sign = _sign(value, cutpoint, kappa)
+            if sign is None:
+                verdict = "indeterminate"
+            elif claims[sign + 1] == member:
+                verdict = "agree"
+            else:
+                verdict = "disagree"
+            verdicts[value, member] = verdict
         records.append(StringRecord(w, value, member, verdict))
-    # The aggregates are read off the records; min and max keep the first of equal extremes.
+    # A key keeps the first of equal values, so min and max do as over the records.
     return SweepReport(
         mode,
         cutpoint,
@@ -224,8 +230,8 @@ def sweep(
         tuple(records),
         counterexamples=tuple(r.string for r in records if r.verdict == "disagree"),
         indeterminate=tuple(r.string for r in records if r.verdict == "indeterminate"),
-        min_member_value=min((r.value for r in records if r.member), default=None),
-        max_nonmember_value=max((r.value for r in records if not r.member), default=None),
+        min_member_value=min((v for v, member in verdicts if member), default=None),
+        max_nonmember_value=max((v for v, member in verdicts if not member), default=None),
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from afalib import rand
 from afalib.cli import main, render_report
 from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
+from afalib.exactnum import parse_rational
 from afalib.fileformat import dumps_automaton, load_automaton, loads_counter_spec
 from afalib.quantum import QuantumAutomaton, Superoperator
 from afalib.recognition import BUILTIN_ORACLES, sweep
@@ -100,6 +101,15 @@ def test_run_prints_final_state_and_value(m1_path, capsys):
     out = capsys.readouterr().out
     assert "final 2 -1" in out
     assert "value 2/3" in out
+
+
+def test_run_prints_values_past_the_int_digit_cap(m1_path, capsys):
+    # 2**15000 has 4,516 digits, more than Python's int/str conversion allows.
+    assert main(["run", m1_path, "--input", "a" * 15000]) == 0
+    final, value = capsys.readouterr().out.splitlines()
+    assert final.startswith("final ")
+    assert value.startswith("value ")
+    assert parse_rational(value.split()[1]) == Fraction(2**15000, 2**15001 - 1)
 
 
 def test_run_empty_input_by_default(m1_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the exact rational linear algebra layer."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,24 @@ def test_parse_rational_accepts_integers_and_fractions():
     assert parse_rational("22/7") == Fraction(22, 7)
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("0") == ZERO
+
+
+def test_parse_rational_reduces_and_drops_leading_zeros():
+    assert parse_rational("-007/14") == Fraction(-1, 2)
+    assert parse_rational("0/5") == ZERO
+    assert parse_rational("-0") == ZERO
+
+
+def test_rationals_past_the_int_digit_cap_round_trip():
+    # Python refuses int/str conversions past a few thousand digits;
+    # both parts here are longer than that.
+    big = Fraction(10**5000 + 1, 3**10000)
+    num, den = render_rational(big).split("/")
+    assert num == "1" + "0" * 4999 + "1"
+    assert den == str(Decimal(3**10000))
+    assert parse_rational(f"{num}/{den}") == big
+    assert render_rational(-big.numerator) == "-" + num
+    assert parse_rational("-" + "0" * 5000 + "12/8") == Fraction(-3, 2)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from afalib.automata import accept_value, prefix_values
+from afalib.automata import ClassicalAutomaton, accept_value, prefix_values
 from afalib.constructions import (
     abs_eq,
     afa_to_nqfa,
@@ -14,6 +14,7 @@ from afalib.constructions import (
     m2_eq,
     shift_interior,
 )
+from afalib.exactnum import Mat
 from afalib.fileformat import (
     FormatError,
     dumps_automaton,
@@ -67,6 +68,17 @@ def test_save_and_load_files(tmp_path):
     path = tmp_path / "machine.afa"
     save_automaton(m1_eq(), path)
     assert load_automaton(path) == m1_eq()
+
+
+def test_entries_past_the_int_digit_cap_round_trip():
+    # Python refuses int/str conversions past a few thousand digits.
+    huge = 10**4999
+    big = ClassicalAutomaton.build(
+        "afa", ("p", "q"), ("a",), {"a": Mat([[huge + 1, 0], [-huge, 1]])}, 0, (0,)
+    )
+    text = dumps_automaton(big)
+    assert "1" + "0" * 4998 + "1" in text
+    assert loads_automaton(text) == big
 
 
 def test_identity_markers_are_omitted_when_dumping():

@@ -1,6 +1,7 @@
 """Tests for oracle sweeps, isolation measurement and machine equivalence."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,13 +11,15 @@ import pytest
 from afalib.automata import ClassicalAutomaton, dfa_automaton
 from afalib.constructions import abs_eq, afa_to_nqfa, m1_eq, m2_eq
 from afalib.exactnum import Mat
-from afalib.rand import random_qfa
+from afalib.rand import random_afa, random_qfa
 from afalib.recognition import (
     BUILTIN_ORACLES,
     LanguageOracle,
     MODES,
     SWEEP_CAP,
     SweepReport,
+    _CLAIMS,
+    _sign,
     dfa_oracle,
     enumerate_strings,
     equivalence_check,
@@ -138,6 +141,42 @@ def test_sweep_report_takes_its_aggregates_as_arguments():
     bare = SweepReport("cutpoint", Fraction(1, 2), 0, 0.0, ())
     assert (bare.counterexamples, bare.indeterminate) == ((), ())
     assert bare.min_member_value is None and bare.gap is None
+
+
+MEMO_CASES = [
+    (m1_eq(), EQ, 10),
+    (afa_to_nqfa(abs_eq()), BUILTIN_ORACLES["abseq"](), 8),
+    (random_afa(random.Random(2024)), LanguageOracle("odd-a", ("a", "b"), lambda w: w.count("a") % 2 == 1), 8),
+]
+
+
+@pytest.mark.parametrize("machine, oracle, maxlen", MEMO_CASES, ids=["m1_eq", "nqfa_abs_eq", "random_afa"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("cutpoint", [Fraction(0), Fraction(1, 2), Fraction(5, 6)], ids=str)
+def test_sweep_verdicts_match_a_per_string_recomputation(machine, oracle, maxlen, mode, cutpoint):
+    # A sweep decides each distinct (value, member) once; deciding every
+    # string on its own must give the same records and extremes.
+    report = sweep(machine, cutpoint, mode, oracle, maxlen)
+    records = report.records
+    assert [r.string for r in records] == list(enumerate_strings(machine.alphabet, maxlen))
+    for r in records:
+        assert r.member == oracle_eval(oracle, r.string)
+        sign = _sign(r.value, report.cutpoint, report.kappa)
+        if sign is None:
+            assert r.verdict == "indeterminate"
+        else:
+            assert r.verdict == ("agree" if _CLAIMS[mode][sign + 1] == r.member else "disagree")
+    assert report.counterexamples == tuple(r.string for r in records if r.verdict == "disagree")
+    assert report.indeterminate == tuple(r.string for r in records if r.verdict == "indeterminate")
+    assert report.min_member_value == min((r.value for r in records if r.member), default=None)
+    assert report.max_nonmember_value == max((r.value for r in records if not r.member), default=None)
+
+
+def test_sweep_records_membership_as_a_bool():
+    counting = LanguageOracle("count-a", ("a", "b"), lambda w: w.count("a"))
+    report = sweep(m1_eq(), Fraction(5, 6), "cutpoint", counting, 4)
+    assert all(type(r.member) is bool for r in report.records)
+    assert [r.member for r in report.records] == [bool(w.count("a")) for w in enumerate_strings("ab", 4)]
 
 
 def test_records_follow_enumeration_order():
