@@ -80,8 +80,7 @@ def cmd_run(args) -> int:
     quantum = isinstance(machine, QuantumAutomaton)
     if args.normalized:
         if quantum or machine.kind != "afa":
-            print("error: --normalized applies to affine machines only", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--normalized applies to affine machines only")
         print("value " + render_rational(accept_value_normalized(machine, w)))
         return 0
     # Both before any output, so a failing readout leaves stdout empty.
@@ -167,8 +166,7 @@ def cmd_construct(args) -> int:
     kind = args.construction
     load, count, flags, build = _CONSTRUCTIONS[kind]
     if len(args.inputs) != count:
-        print(f"error: {kind} takes {count} input file(s)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"{kind} takes {count} input file(s)")
     values = [getattr(args, flag) for flag in flags]
     for flag, value in zip(flags, values):
         if value is None:
@@ -181,12 +179,10 @@ def cmd_zoo(args) -> int:
     params = {}
     if args.name == "m2_eq":
         if args.x is None:
-            print("error: m2_eq needs --x", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("m2_eq needs --x")
         params["x"] = args.x
     elif args.x is not None:
-        print(f"error: --x applies to m2_eq only, not {args.name}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--x applies to m2_eq only, not {args.name}")
     _write(dumps_automaton(constructions.zoo(args.name, **params)), args.out)
     return 0
 
@@ -253,7 +249,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+    except (OSError, ValueError, OverflowError) as exc:
+        # FormatError is a ValueError; OverflowError is an exact value past
+        # float range. Other ArithmeticErrors are bugs and stay visible.
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

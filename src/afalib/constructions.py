@@ -68,8 +68,7 @@ def m2_eq(x=1) -> ClassicalAutomaton:
     x = Fraction(x)
     if x < 1:
         raise ValueError(f"scale must be at least 1, got {x}")
-    a = Mat([[1, 0, 0], [x, 1, 0], [-x, 0, 1]])
-    b = Mat([[1, 0, 0], [-x, 1, 0], [x, 0, 1]])
+    a, b = _counter_gadget(1, x), _counter_gadget(-1, x)
     return ClassicalAutomaton.build("afa", ("e1", "e2", "e3"), ("a", "b"), {"a": a, "b": b}, 0, {0})
 
 
@@ -85,9 +84,8 @@ def abs_eq() -> ClassicalAutomaton:
     """
     a3 = [[0, -1, -1], [1, 2, 1], [0, 0, 1]]
     b3 = [[0, -1, -1], [0, 1, 0], [1, 1, 2]]
-    ident3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    a = direct_sum(Mat(a3), Mat(ident3))
-    b = direct_sum(Mat(b3), Mat(ident3))
+    a = direct_sum(Mat(a3), Mat.identity(3))
+    b = direct_sum(Mat(b3), Mat.identity(3))
     dollar = Mat(
         [
             [0, 1, -1, 1, 0, 0],
@@ -104,91 +102,61 @@ def abs_eq() -> ClassicalAutomaton:
     )
 
 
+def _affine_step(n: int, extra) -> Mat:
+    """The identity on ``n`` states plus the ``{(k, j): x}`` entries of
+    ``extra``; the last state takes whatever keeps each column summing to 1."""
+    entries = {(j, j): ONE for j in range(n)}
+    for (k, j), x in extra.items():
+        entries[k, j] = entries.get((k, j), ZERO) + x
+        entries[n - 1, j] = entries.get((n - 1, j), ZERO) - x
+    return Mat._sparse(n, n, entries)
+
+
 # Both lapins trackers hold (constant 1, 2t+1, t^2, counter, balance) on
-# five states for one squared count t. The balance state absorbs whatever
-# keeps each column summing to 1. The squaring step uses the recurrence
-# (1, 2t+1, t^2) -> (1, 2t+3, (t+1)^2), seeded by the cent matrix which
-# turns the initial basis vector into (1, 1, 0, 0, -1).
-_LAPINS_SQUARE = Mat(
+# five states for one squared count t; the balance state is the last. The
+# squaring step is the recurrence (1, 2t+1, t^2) -> (1, 2t+3, (t+1)^2),
+# seeded by the cent matrix which turns the initial basis vector into
+# (1, 1, 0, 0, -1).
+_LAPINS_SQUARE = _affine_step(5, {(1, 0): 2, (2, 1): 1})
+_LAPINS_CENT = _affine_step(5, {(1, 0): 1})
+
+
+def _lapins_tracker(
+    counter_state: str, square_letter: str, count_letter: str, delta: int, dollar: Mat
+) -> ClassicalAutomaton:
+    # Tracks (t^2, delta * c): square_letter squares t, count_letter adds
+    # delta to the counter c, and the third letter leaves both alone.
+    transitions = {sym: Mat.identity(5) for sym in ("a", "b", "c")}
+    transitions[square_letter] = _LAPINS_SQUARE
+    transitions[count_letter] = _affine_step(5, {(3, 0): delta})
+    transitions.update({CENT: _LAPINS_CENT, DOLLAR: dollar})
+    states = ("one", "lin", "sq", counter_state, "bal")
+    return ClassicalAutomaton.build("afa", states, ("a", "b", "c"), transitions, 0)
+
+
+# Reshape (1, 2x+1, x^2, y, balance) into (x^2, y, 1-x^2-y, 0, 0) for
+# x = |w|_a, y = |w|_b. Row 3 is the unique functional vanishing on every
+# reachable state; it is what makes all five columns sum to 1.
+_LEFT_DOLLAR = Mat(
     [
-        [1, 0, 0, 0, 0],
-        [2, 1, 0, 0, 0],
-        [0, 1, 1, 0, 0],
-        [0, 0, 0, 1, 0],
-        [-2, -1, 0, 0, 1],
-    ]
-)
-_LAPINS_CENT = Mat(
-    [
-        [1, 0, 0, 0, 0],
-        [1, 1, 0, 0, 0],
         [0, 0, 1, 0, 0],
         [0, 0, 0, 1, 0],
-        [-1, 0, 0, 0, 1],
+        [1, 0, -1, -1, 0],
+        [0, 1, 1, 1, 1],
+        [0, 0, 0, 0, 0],
     ]
 )
-
-
-def _lapins_left() -> ClassicalAutomaton:
-    # Tracks (x^2, y) for x = |w|_a, y = |w|_b: a squares, b counts.
-    count = Mat(
-        [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [1, 0, 0, 1, 0],
-            [-1, 0, 0, 0, 1],
-        ]
-    )
-    # Reshape (1, 2x+1, x^2, y, balance) into (x^2, y, 1-x^2-y, 0, 0).
-    # Row 3 is the unique functional vanishing on every reachable state;
-    # it is what makes all five columns sum to 1.
-    dollar = Mat(
-        [
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [1, 0, -1, -1, 0],
-            [0, 1, 1, 1, 1],
-            [0, 0, 0, 0, 0],
-        ]
-    )
-    return ClassicalAutomaton.build(
-        "afa",
-        ("one", "lin", "sq", "cnt", "bal"),
-        ("a", "b", "c"),
-        {"a": _LAPINS_SQUARE, "b": count, "c": Mat.identity(5), CENT: _LAPINS_CENT, DOLLAR: dollar},
-        0,
-    )
-
-
-def _lapins_right() -> ClassicalAutomaton:
-    # Tracks (y^2, -z) the same way: squaring driven by b, decrement by c.
-    decrement = Mat(
-        [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [-1, 0, 0, 1, 0],
-            [1, 0, 0, 0, 1],
-        ]
-    )
-    # Reshape (1, 2y+1, y^2, -z, balance) into (y^2-z, 1-y^2+z, 0, 0, 0).
-    dollar = Mat(
-        [
-            [0, 0, 1, 1, 0],
-            [1, 0, -1, -1, 0],
-            [0, 1, 1, 1, 1],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-        ]
-    )
-    return ClassicalAutomaton.build(
-        "afa",
-        ("one", "lin", "sq", "neg", "bal"),
-        ("a", "b", "c"),
-        {"a": Mat.identity(5), "b": _LAPINS_SQUARE, "c": decrement, CENT: _LAPINS_CENT, DOLLAR: dollar},
-        0,
-    )
+# Reshape (1, 2y+1, y^2, -z, balance) into (y^2-z, 1-y^2+z, 0, 0, 0) for
+# y = |w|_b, z = |w|_c.
+_RIGHT_DOLLAR = Mat(
+    [
+        [0, 0, 1, 1, 0],
+        [1, 0, -1, -1, 0],
+        [0, 1, 1, 1, 1],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+    ]
+)
 
 
 def lapins() -> ClassicalAutomaton:
@@ -207,7 +175,9 @@ def lapins() -> ClassicalAutomaton:
     sign(x^2 * d - y) where d = |y^2-z| - |1-y^2+z| is +1 when y^2 > z
     and -1 otherwise, so v > 1/2 exactly on members.
     """
-    product = tensor(_lapins_left(), _lapins_right())
+    left = _lapins_tracker("cnt", "a", "b", 1, _LEFT_DOLLAR)
+    right = _lapins_tracker("neg", "b", "c", -1, _RIGHT_DOLLAR)
+    product = tensor(left, right)
     n = product.size
     half = Fraction(1, 2)
     # Column j of the stage sends its entry to routes[j]; unrouted columns stay put.
@@ -439,8 +409,7 @@ def afa_to_nqfa(machine: ClassicalAutomaton) -> QuantumAutomaton:
 def _counter_gadget(delta: int, scale: Fraction) -> Mat:
     # Three states holding (1, c*x, -c*x) for counter value c: adding
     # delta only touches the first column.
-    d = delta * scale
-    return Mat([[1, 0, 0], [d, 1, 0], [-d, 0, 1]])
+    return _affine_step(3, {(1, 0): delta * scale})
 
 
 COUNTER_STATE_CAP = 3**6

@@ -205,13 +205,18 @@ def sweep(
     cutpoint = Fraction(0) if mode == "nondet" else Fraction(cutpoint)
     claims = _CLAIMS[mode]
     # Counting languages reach few distinct values: decide each pair once.
-    verdicts: dict[tuple[Value, bool], str] = {}
+    # An exact value is keyed by its integer ratio, which hashes faster than
+    # the Fraction; a float by itself. The memo keeps the first value beside
+    # its verdict, so the extremes read off it are those of the records.
+    exact = not isinstance(machine, QuantumAutomaton)
+    memo: dict[tuple, tuple[Value, bool, str]] = {}
     records = []
     for w, value in _machine_values(machine, maxlen):
         # The alphabets match (checked above), so no per-letter check.
         member = bool(oracle.membership(w))
-        verdict = verdicts.get((value, member))
-        if verdict is None:
+        key = (value.as_integer_ratio() if exact else value, member)
+        seen = memo.get(key)
+        if seen is None:
             sign = _sign(value, cutpoint, kappa)
             if sign is None:
                 verdict = "indeterminate"
@@ -219,9 +224,8 @@ def sweep(
                 verdict = "agree"
             else:
                 verdict = "disagree"
-            verdicts[value, member] = verdict
-        records.append(StringRecord(w, value, member, verdict))
-    # A key keeps the first of equal values, so min and max do as over the records.
+            seen = memo[key] = (value, member, verdict)
+        records.append(StringRecord(w, value, member, seen[2]))
     return SweepReport(
         mode,
         cutpoint,
@@ -230,8 +234,8 @@ def sweep(
         tuple(records),
         counterexamples=tuple(r.string for r in records if r.verdict == "disagree"),
         indeterminate=tuple(r.string for r in records if r.verdict == "indeterminate"),
-        min_member_value=min((v for v, member in verdicts if member), default=None),
-        max_nonmember_value=max((v for v, member in verdicts if not member), default=None),
+        min_member_value=min((v for v, member, _ in memo.values() if member), default=None),
+        max_nonmember_value=max((v for v, member, _ in memo.values() if not member), default=None),
     )
 
 

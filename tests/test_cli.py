@@ -394,9 +394,30 @@ CAP_COUNTERS = COUNTER.replace("counters 1", "counters 6").replace(
     "only a 1", "only a 1 0 -1 2 0 1"
 ).replace("only b -1", "only b -1 1 0 0 2 -1")
 
+# Two controller states, two counters, a non-integer scale.
+THIRDS_COUNTERS = """\
+kind counters
+states p q
+alphabet a b
+initial p
+accepting q
+counters 2
+scale 5/3
+
+transition p a q
+transition p b p
+transition q a p
+transition q b q
+increment p a 1 0
+increment p b -1 2
+increment q a 0 -1
+increment q b 2 1
+"""
+
 GOLDEN_MACHINES = [
     (["zoo", "m1_eq"], "6cda8fa63a4858f5067358d89f711f8469fa7ea8290432a0ee2c085c9b52afb1"),
     (["zoo", "m2_eq", "--x", "3"], "763c470967b0e9ee27064fd323d52eef9f175231f6bf86cd81b143c92ddfd921"),
+    (["zoo", "m2_eq", "--x", "5/2"], "7fd28837fdf16f2f0d9a1a1d954c463c79eccc81c2cde8c41d1aa99706ca63b6"),
     (["zoo", "abs_eq"], "8281c7b0997ac5547ddc84aac5da0d1237fb64435b4c33d6841a3da36da32a1e"),
     (["zoo", "lapins"], "454d63f7dc32e65851940dc32a2b7c102124e8e0dc5420eabb3d1d9cb5519c17"),
     (
@@ -416,6 +437,7 @@ GOLDEN_MACHINES = [
     (["construct", "counters", "{balance}"], "45973a9782eac544111f24d856fc7b61442da519438411f48b04615dcbd05d2b"),
     (["construct", "counters", "{mixed}"], "744e8845e32fd6796ddccf129f5ffae017c693ebb2963145ae0ed5eee78dd4ab"),
     (["construct", "counters", "{cap}"], "101ab12e530d25ba9c36a5f3daec8c056e56af765ca2fb0571866f20d7e123a0"),
+    (["construct", "counters", "{thirds}"], "f43aee13f1aede7e7626b32f835b3c11c319b5d46a83f99b221ed0d11c8fdb25"),
     # Surgery on the compiled MIXED_COUNTERS machine: 27 states, two
     # accepting, scale-2 denominators.
     (
@@ -439,6 +461,7 @@ GOLDEN_MACHINES = [
     ids=[
         "zoo-m1_eq",
         "zoo-m2_eq",
+        "zoo-m2_eq-non-integer",
         "zoo-abs_eq",
         "zoo-lapins",
         "shift-interior",
@@ -449,6 +472,7 @@ GOLDEN_MACHINES = [
         "counters",
         "counters-mixed",
         "counters-cap",
+        "counters-non-integer-scale",
         "shift-interior-mixed",
         "shift-zero-mixed",
         "shift-one-mixed",
@@ -469,8 +493,11 @@ def test_written_machines_match_their_golden_digests(tmp_path, argv, digest):
     assert main(["construct", "counters", str(mixed), "--out", str(mixed_afa)]) == 0
     cap = tmp_path / "cap.cm"
     cap.write_text(CAP_COUNTERS)
+    thirds = tmp_path / "thirds.cm"
+    thirds.write_text(THIRDS_COUNTERS)
     out = tmp_path / "out.afa"
-    args = [part.format(m1=m1, pfa=pfa, balance=balance, mixed=mixed, mixed_afa=mixed_afa, cap=cap) for part in argv]
+    paths = dict(m1=m1, pfa=pfa, balance=balance, mixed=mixed, mixed_afa=mixed_afa, cap=cap, thirds=thirds)
+    args = [part.format(**paths) for part in argv]
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -573,3 +600,66 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 
 def test_unknown_zoo_name_is_a_usage_error(capsys):
     assert main(["zoo", "m9_eq"]) == 2
+
+
+ONE_STATE_DFA = "kind dfa\nstates p\nalphabet a\ninitial p\naccepting p\n\nsymbol a\n1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "{dfa}", "--input", "a", "--normalized"], "--normalized applies to affine machines only"),
+        (["construct", "tensor", "{m1}"], "tensor takes 2 input file(s)"),
+        (["zoo", "m2_eq"], "m2_eq needs --x"),
+        (["zoo", "m1_eq", "--x", "2"], "--x applies to m2_eq only, not m1_eq"),
+    ],
+    ids=["run-normalized-dfa", "construct-arity", "zoo-m2_eq-without-x", "zoo-x-on-m1_eq"],
+)
+def test_usage_errors_print_one_error_line(tmp_path, m1_path, capsys, argv, message):
+    dfa = tmp_path / "d.dfa"
+    dfa.write_text(ONE_STATE_DFA)
+    assert main([part.format(dfa=dfa, m1=m1_path) for part in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# Column 0 of 'a' is (10**400, 1 - 10**400): valid and exact, but past float range.
+HUGE_ENTRY = f"""\
+kind afa
+states p q
+alphabet a b
+initial p
+accepting p
+
+symbol a
+{10**400} 0
+{1 - 10**400} 1
+
+symbol b
+1 0
+0 1
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "{m1q}", "--cutpoint", str(10**400), "--oracle", "eq", "--maxlen", "2"],
+        ["construct", "afa-to-nqfa", "{huge}"],
+    ],
+    ids=["quantum-sweep-huge-cutpoint", "afa-to-nqfa-huge-entry"],
+)
+def test_float_overflow_is_a_usage_error(tmp_path, m1_path, capsys, command):
+    m1q = tmp_path / "m1q.afa"
+    assert main(["construct", "afa-to-nqfa", m1_path, "--out", str(m1q)]) == 0
+    huge = tmp_path / "huge.afa"
+    huge.write_text(HUGE_ENTRY)
+    assert main(["validate", str(huge)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*(part.format(m1q=m1q, huge=huge) for part in command), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
