@@ -380,8 +380,11 @@ def afa_to_nqfa(machine: ClassicalAutomaton) -> QuantumAutomaton:
     states = machine.states + _fresh_names(machine.states, machine.states, "res")
     channels = {}
     for sym in (*machine.alphabet, CENT, DOLLAR):
-        a = _mat_to_array(machine.transitions[sym])
-        scale = normalization_factor(machine.transitions[sym])
+        try:
+            a = _mat_to_array(machine.transitions[sym])
+            scale = normalization_factor(machine.transitions[sym])
+        except OverflowError:
+            raise ValueError(f"symbol {sym!r} has a matrix entry past float range") from None
         top = np.zeros((2 * n, 2 * n))
         top[:n, :n] = a
         top[n:, n:] = np.eye(n)

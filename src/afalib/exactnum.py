@@ -10,7 +10,8 @@ A matrix is stored only as its integer form: each row's nonzero
 ``(column, numerator)`` pairs over one common denominator. Every matrix
 is built from its nonzero entries, the algebra works over them, and the
 dense view is derived on demand.
-:meth:`Mat.step` applies the form to an :data:`ExactState`, a
+:meth:`Mat.step` applies the form, compiled once per matrix into
+straight-line integer code, to an :data:`ExactState`, a
 vector written as integer numerators over one positive denominator with
 no common factor, so each exact vector has exactly one such form and can
 key a dict. Nothing in the kernel is a float; :func:`state_vector` turns
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
 
@@ -34,6 +35,9 @@ ExactState = tuple[tuple[int, ...], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Rows with more terms than this compile to one flat sum(); see _compile_rows.
+_CHAIN_TERMS = 64
 
 _RATIONAL_FORM = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 
@@ -133,10 +137,49 @@ def _nonzeros(lines: Iterable[Iterable], kind: str) -> tuple[int, int, dict[tupl
     return len(data), length, {(i, j): x for i, line in enumerate(data) for j, x in enumerate(line) if x}
 
 
+def _compile_rows(cols: int, rows) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A straight-line function from numerators to the integer rows' dot products.
+
+    Rows ``((0, 3), (2, -1))`` and ``((1, 7),)`` compile to
+    ``def step(nums): x0, x1, x2, = nums; return (c0*x0 + -x2, c1*x1, )``
+    with ``c0 = 3`` and ``c1 = 7`` bound as globals: a coefficient is never
+    written as digits, which past the int/str digit cap cannot be
+    rendered. A long row is one flat ``sum`` of its terms, because a chain
+    of thousands of ``+`` nests too deep to compile.
+    """
+    names: dict[int, str] = {}  # coefficient -> the global bound to it
+
+    def term(j: int, a: int) -> str:
+        if a == 1:
+            return f"x{j}"
+        if a == -1:
+            return f"-x{j}"
+        return f"{names.setdefault(a, f'c{len(names)}')}*x{j}"
+
+    exprs = []
+    for row in rows:
+        terms = [term(j, a) for j, a in row]
+        if len(terms) > _CHAIN_TERMS:
+            exprs.append(f"sum(({', '.join(terms)},))")
+        else:
+            exprs.append(" + ".join(terms) or "0")
+    source = (
+        "def step(nums):\n"
+        f" {''.join(f'x{j}, ' for j in range(cols))}= nums\n"
+        f" return ({''.join(e + ', ' for e in exprs)})\n"
+    )
+    scope = {name: a for a, name in names.items()}
+    exec(source, scope)
+    # Popped, so the function and its globals form no reference cycle and
+    # go as soon as their matrix does.
+    return scope.pop("step")
+
+
 class Mat:
     """Immutable matrix of exact rationals, stored as its :meth:`integer_form`."""
 
-    __slots__ = ("rows", "cols", "_form")
+    # _kernel: the compiled integer step, None until the first step().
+    __slots__ = ("rows", "cols", "_form", "_kernel")
 
     def __new__(cls, rows: Iterable[Iterable]):
         height, width, entries = _nonzeros(rows, "rows")
@@ -163,6 +206,7 @@ class Mat:
         object.__setattr__(m, "rows", len(rows))
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_form", (d, rows))
+        object.__setattr__(m, "_kernel", None)
         return m
 
     def __setattr__(self, name, value):
@@ -223,16 +267,23 @@ class Mat:
         return self._form
 
     def step(self, state: ExactState) -> ExactState:
-        """:meth:`apply` on integer states: ``exact_state(self @ state_vector(state))``."""
+        """:meth:`apply` on integer states: ``exact_state(self @ state_vector(state))``.
+
+        The numerators go through a function compiled from :meth:`integer_form`
+        on the matrix's first ``step`` (see :func:`_compile_rows`).
+        """
         nums, den = state
         if len(nums) != self.cols:
             raise ValueError(f"vector length {len(nums)} does not match {self.cols} columns")
-        d, rows = self._form
-        out = [sum([a * nums[j] for j, a in row]) for row in rows]
-        den *= d
+        kernel = self._kernel
+        if kernel is None:
+            kernel = _compile_rows(self.cols, self._form[1])
+            object.__setattr__(self, "_kernel", kernel)
+        out = kernel(nums)
+        den *= self._form[0]
         g = math.gcd(*out, den)
         if g == 1:
-            return tuple(out), den
+            return out, den
         return tuple(x // g for x in out), den // g
 
     def __matmul__(self, other: "Mat") -> "Mat":

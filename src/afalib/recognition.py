@@ -116,14 +116,32 @@ def _corpus_size(symbols: int, maxlen: int) -> int:
     return total
 
 
-def _sign(value: Value, cutpoint: Fraction, kappa: float) -> int | None:
+def _threshold(machine: Machine, cutpoint: Fraction) -> Value:
+    """The cutpoint as :func:`_sign` compares the machine's values with it.
+
+    A quantum machine's float values meet a float cutpoint, converted once
+    here; a cutpoint past float range is an unusable request.
+    """
+    if not isinstance(machine, QuantumAutomaton):
+        return cutpoint
+    try:
+        return float(cutpoint)
+    except OverflowError:
+        raise ValueError("the cutpoint is past float range, and a quantum machine's values are floats") from None
+
+
+def _sign(value: Value, cutpoint: Value, kappa: float) -> int | None:
     """Three-way sign of value - cutpoint; None when a float is within kappa."""
     if isinstance(value, float):
-        diff = value - float(cutpoint)
+        diff = value - cutpoint
         if abs(diff) <= kappa:
             return None
         return 1 if diff > 0 else -1
-    return (value > cutpoint) - (value < cutpoint)
+    # Both denominators are positive: compare by one cross-multiplication.
+    n, d = value.as_integer_ratio()
+    p, q = cutpoint.as_integer_ratio()
+    diff = n * q - p * d
+    return (diff > 0) - (diff < 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,6 +221,7 @@ def sweep(
             f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
         )
     cutpoint = Fraction(0) if mode == "nondet" else Fraction(cutpoint)
+    threshold = _threshold(machine, cutpoint)
     claims = _CLAIMS[mode]
     # Counting languages reach few distinct values: decide each pair once.
     # An exact value is keyed by its integer ratio, which hashes faster than
@@ -217,7 +236,7 @@ def sweep(
         key = (value.as_integer_ratio() if exact else value, member)
         seen = memo.get(key)
         if seen is None:
-            sign = _sign(value, cutpoint, kappa)
+            sign = _sign(value, threshold, kappa)
             if sign is None:
                 verdict = "indeterminate"
             elif claims[sign + 1] == member:
@@ -302,14 +321,14 @@ def equivalence_check(
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
-    cutpoint1, cutpoint2 = Fraction(cutpoint1), Fraction(cutpoint2)
+    threshold1, threshold2 = _threshold(m1, Fraction(cutpoint1)), _threshold(m2, Fraction(cutpoint2))
     # Enumerating m2 in m1's symbol order lists the same strings in both streams.
     m2 = replace(m2, alphabet=m1.alphabet)
     violations = []
     indeterminate = []
     for (w, v1), (_, v2) in zip(_machine_values(m1, maxlen), _machine_values(m2, maxlen)):
-        s1 = _sign(v1, cutpoint1, kappa)
-        s2 = _sign(v2, cutpoint2, kappa)
+        s1 = _sign(v1, threshold1, kappa)
+        s2 = _sign(v2, threshold2, kappa)
         if s1 is None or s2 is None:
             indeterminate.append(w)
         elif s1 != s2:

@@ -643,14 +643,14 @@ symbol b
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command, culprit",
     [
-        ["sweep", "{m1q}", "--cutpoint", str(10**400), "--oracle", "eq", "--maxlen", "2"],
-        ["construct", "afa-to-nqfa", "{huge}"],
+        (["sweep", "{m1q}", "--cutpoint", str(10**400), "--oracle", "eq", "--maxlen", "2"], "cutpoint"),
+        (["construct", "afa-to-nqfa", "{huge}"], "symbol 'a'"),
     ],
     ids=["quantum-sweep-huge-cutpoint", "afa-to-nqfa-huge-entry"],
 )
-def test_float_overflow_is_a_usage_error(tmp_path, m1_path, capsys, command):
+def test_float_overflow_is_a_usage_error(tmp_path, m1_path, capsys, command, culprit):
     m1q = tmp_path / "m1q.afa"
     assert main(["construct", "afa-to-nqfa", m1_path, "--out", str(m1q)]) == 0
     huge = tmp_path / "huge.afa"
@@ -662,4 +662,6 @@ def test_float_overflow_is_a_usage_error(tmp_path, m1_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    # The message names the input past float range.
+    assert culprit in captured.err
     assert not out.exists()

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from afalib.exactnum import (
     Mat,
@@ -339,8 +339,24 @@ def test_integer_form_keeps_nonzero_entries_over_one_denominator():
 
 
 def test_step_rejects_a_vector_of_the_wrong_length():
-    with pytest.raises(ValueError):
-        Mat.identity(2).step(exact_state(vec([1, 0, 0])))
+    m = Mat.identity(2)
+    # The check runs before the first step compiles the matrix, and after.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\Avector length 3 does not match 2 columns\Z"):
+            m.step(exact_state(vec([1, 0, 0])))
+        m.step(exact_state(vec([1, 0])))
+
+
+def test_first_step_keeps_the_matrix_equal_hashed_and_immutable():
+    m = Mat([["1/2", 0, "-1/3"], [0, 0, 0], [2, 1, -1]])
+    twin = Mat(m.tolists())
+    before = hash(m)
+    m.step(exact_state(vec([1, 2, 3])))
+    assert m == twin and twin == m and hash(m) == before == hash(twin)
+    assert m.integer_form() == twin.integer_form()
+    for name in ("_kernel", "_form", "rows"):
+        with pytest.raises(AttributeError, match="Mat is immutable"):
+            setattr(m, name, None)
 
 
 @st.composite
@@ -357,6 +373,14 @@ def matrices_and_vectors(draw):
 
 
 @given(matrices_and_vectors())
+# Coefficients past the int/str digit cap, in short and long rows.
+@example((Mat([[10**5000, "-1/3"], [0, -(10**5000)]]), vec(["1/7", 2])))
+@example((Mat([[10**5000 + k for k in range(100)]]), vec(range(100))))
+# One column; an all-zero row with unit entries; the zero vector and matrix.
+@example((Mat([["-5/2"], [0], [1]]), vec(["3/4"])))
+@example((Mat([[1, -1, 0], [0, 0, 0], [-1, 2, 1]]), vec(["1/2", "-1/3", 5])))
+@example((Mat([[1, -1], ["2/3", 4]]), vec([0, 0])))
+@example((Mat([[0, 0], [0, 0]]), vec([3, "1/2"])))
 def test_integer_step_equals_apply(case):
     m, v = case
     out = m.step(exact_state(v))
@@ -364,3 +388,11 @@ def test_integer_step_equals_apply(case):
     # The result is already canonical: the form exact_state would give it.
     assert out == exact_state(m.apply(v))
     assert out[1] > 0
+
+
+@pytest.mark.parametrize("row", [list(range(1, 3001)), [-1] * 3000], ids=["distinct", "minus-ones"])
+def test_step_compiles_a_row_of_3000_terms(row):
+    # A chain of 3,000 `+` nests too deep to compile. Not an @example:
+    # Hypothesis raises the recursion limit, which lets such a chain compile.
+    m, v = Mat([row]), vec(Fraction(1, k) for k in range(1, 3001))
+    assert m.step(exact_state(v)) == exact_state(m.apply(v))
