@@ -16,15 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import constructions, recognition
-from .automata import ClassicalAutomaton, accept_value, accept_value_normalized, run
-from .exactnum import RationalParseError, parse_rational, render_rational
+from .automata import ClassicalAutomaton, _final, _readout, accept_value_normalized
+from .exactnum import RationalParseError, parse_rational, render_rational, state_vector
 from .fileformat import (
     FormatError,
     dumps_automaton,
     load_automaton,
     load_counter_spec,
 )
-from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_accept, qfa_final_density
+from .quantum import DEFAULT_KAPPA, QuantumAutomaton, _accept_from_density, _clamped, qfa_final_density
 from .recognition import BUILTIN_ORACLES, SweepReport, dfa_oracle, sweep
 
 USAGE_ERROR = 2
@@ -83,12 +83,15 @@ def cmd_run(args) -> int:
             raise ValueError("--normalized applies to affine machines only")
         print("value " + render_rational(accept_value_normalized(machine, w)))
         return 0
-    # Both before any output, so a failing readout leaves stdout empty.
+    # One walk of the string; both values before any output, so a failing
+    # readout leaves stdout empty.
     if quantum:
-        final = [float(p) for p in qfa_final_density(machine, w).diagonal()]
-        value = qfa_accept(machine, w)
+        rho = qfa_final_density(machine, w)
+        final = [float(p) for p in rho.diagonal()]
+        value = _clamped(w, float(_accept_from_density(machine, rho[None])[0]))
     else:
-        final, value = run(machine, w), accept_value(machine, w)
+        state = _final(machine, w)
+        final, value = state_vector(state), _readout(machine, state)
     print("final " + " ".join(_render_value(x, args.kappa) for x in final))
     print("value " + _render_value(value, args.kappa))
     return 0
@@ -97,10 +100,7 @@ def cmd_run(args) -> int:
 def _resolve_oracle(spec: str):
     if spec in BUILTIN_ORACLES:
         return BUILTIN_ORACLES[spec]()
-    machine = load_automaton(spec)
-    if not isinstance(machine, ClassicalAutomaton) or machine.kind != "dfa":
-        raise FormatError(f"{spec}: oracle files must hold a dfa")
-    return dfa_oracle(machine)
+    return dfa_oracle(load_automaton(spec))
 
 
 def render_report(report: SweepReport) -> str:

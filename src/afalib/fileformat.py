@@ -41,7 +41,7 @@ import os
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .automata import KINDS, RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
+from .automata import RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
 from .exactnum import Mat, parse_rational, render_rational
 from .quantum import QuantumAutomaton, Superoperator
 
@@ -100,8 +100,6 @@ def _parse_header(lines, path_hint: str, keys=_HEADER_KEYS):
 
 def _state_indices(header, path_hint: str):
     states = tuple(header["states"])
-    if len(set(states)) != len(states):
-        raise FormatError(f"{path_hint}: duplicate state names")
     index = {name: i for i, name in enumerate(states)}
     initial_name = header["initial"][0]
     if initial_name not in index:
@@ -134,15 +132,21 @@ def _float_entry(tok: str) -> float:
 
 
 def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
-    """Parse an automaton file body. Raises :class:`FormatError` on bad input."""
+    """Parse an automaton file body. Raises :class:`FormatError` on bad input.
+
+    An error tied to one line reads ``path:line: ...``: a repeated or late
+    header line, a bad ``symbol`` line or a repeated section, rows before
+    a ``symbol`` or ``element`` line, a row of the wrong width, an
+    unreadable entry. Any other error reads ``path: ...``: a missing or
+    mis-valued header line, an unknown state name, and every rule the
+    machine classes check when built (the kind, the alphabet, one section
+    per symbol, matrix and channel shapes).
+    """
     header, body = _parse_header(_logical_lines(text), path_hint)
     kind = header["kind"][0]
-    if kind not in (*KINDS, "qfa"):
-        raise FormatError(f"{path_hint}: unknown kind {kind!r}")
     states, initial, accepting = _state_indices(header, path_hint)
     alphabet = tuple(header["alphabet"])
     n = len(states)
-    known = set(alphabet) | set(RESERVED_SYMBOLS)
 
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     current: list[tuple[int, list[str]]] | None = None
@@ -151,8 +155,6 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
             if len(tokens) != 2:
                 raise FormatError(f"{path_hint}:{lineno}: 'symbol' needs exactly one name")
             name = tokens[1]
-            if name not in known:
-                raise FormatError(f"{path_hint}:{lineno}: symbol {name!r} not in the alphabet")
             if name in sections:
                 raise FormatError(f"{path_hint}:{lineno}: duplicate section for symbol {name!r}")
             current = sections.setdefault(name, [])
@@ -161,44 +163,30 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
                 raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'symbol' line")
             current.append((lineno, tokens))
 
-    for sym in alphabet:
-        if sym not in sections:
-            raise FormatError(f"{path_hint}: no matrix section for alphabet symbol {sym!r}")
-
-    if kind == "qfa":
-        channels = {}
-        for sym, body in sections.items():
-            channels[sym] = _parse_channel(body, n, path_hint)
-        return QuantumAutomaton.build(states, alphabet, channels, initial, accepting)
-
-    transitions = {}
-    for sym, body in sections.items():
-        if len(body) != n:
-            raise FormatError(f"{path_hint}: matrix for {sym!r} needs {n} rows, got {len(body)}")
-        rows = [_row(tokens, n, lineno, path_hint, parse_rational) for lineno, tokens in body]
-        transitions[sym] = Mat(rows)
-    return ClassicalAutomaton.build(kind, states, alphabet, transitions, initial, accepting)
+    try:
+        if kind == "qfa":
+            channels = {sym: _parse_channel(body, n, path_hint) for sym, body in sections.items()}
+            return QuantumAutomaton.build(states, alphabet, channels, initial, accepting)
+        transitions = {
+            sym: Mat([_row(tokens, n, lineno, path_hint, parse_rational) for lineno, tokens in body])
+            for sym, body in sections.items()
+        }
+        return ClassicalAutomaton.build(kind, states, alphabet, transitions, initial, accepting)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{path_hint}: {exc}") from None
 
 
 def _parse_channel(body, n, path_hint) -> Superoperator:
-    elements = []
-    rows: list[list[float]] | None = None
+    elements: list[list[list[float]]] = []
     for lineno, tokens in body:
         if tokens == ["element"]:
-            if rows is not None:
-                elements.append(rows)
-            rows = []
+            elements.append([])
+        elif not elements:
+            raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'element' line")
         else:
-            if rows is None:
-                raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'element' line")
-            rows.append(_row(tokens, n, lineno, path_hint, _float_entry))
-    if rows is not None:
-        elements.append(rows)
-    if not elements:
-        raise FormatError(f"{path_hint}: channel section without any 'element' block")
-    for rows in elements:
-        if len(rows) != n:
-            raise FormatError(f"{path_hint}: channel element needs {n} rows, got {len(rows)}")
+            elements[-1].append(_row(tokens, n, lineno, path_hint, _float_entry))
     return Superoperator(tuple(elements))
 
 
@@ -276,8 +264,6 @@ def loads_counter_spec(text: str, path_hint: str = "<string>") -> CounterMachine
                 raise FormatError(f"{path_hint}:{lineno}: transition lines are 'transition FROM SYMBOL TO'")
             _, src, sym, dst = tokens
             _check_counter_names(src, sym, states, alphabet, path_hint, lineno)
-            if dst not in state_index:
-                raise FormatError(f"{path_hint}:{lineno}: unknown state {dst!r}")
             if (src, sym) in moves:
                 raise FormatError(f"{path_hint}:{lineno}: duplicate transition for ({src!r}, {sym!r})")
             moves[(src, sym)] = dst

@@ -216,6 +216,10 @@ def _finite(w: str, raw: float) -> float:
     return raw
 
 
+def _clamped(w: str, raw: float) -> float:
+    return min(1.0, max(0.0, _finite(w, raw)))
+
+
 def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
     """Acceptance probability of ``w``, clamped into [0, 1] for reporting.
 
@@ -225,7 +229,7 @@ def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
     ``ValueError`` naming ``w``.
     """
     raw = _accept_from_density(machine, qfa_final_density(machine, w)[None])
-    return min(1.0, max(0.0, _finite(w, float(raw[0]))))
+    return _clamped(w, float(raw[0]))
 
 
 def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[str, float]]:
@@ -263,7 +267,7 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
 
     start = apply_channel(channels[CENT], basis_density(size, machine.initial)[None])
     for w, raw in _length_lex(machine.alphabet, maxlen, start, children, readout):
-        yield w, min(1.0, max(0.0, _finite(w, raw)))
+        yield w, _clamped(w, raw)
 
 
 def projective_measure(

@@ -36,16 +36,21 @@ def random_affine_mat(rng: random.Random, n: int, bound=Fraction(2)) -> Mat:
     return Mat.from_cols([_affine_column(rng, n, bound) for _ in range(n)])
 
 
+def _random_classical(rng: random.Random, kind: str, n: int, alphabet, sample) -> ClassicalAutomaton:
+    """A ``kind`` machine whose letters and dollar are ``sample()`` matrices, drawn in that order."""
+    transitions = {sym: sample() for sym in alphabet}
+    transitions[DOLLAR] = sample()
+    initial = rng.randrange(n)
+    accepting = frozenset(k for k in range(n) if rng.random() < 0.5) or frozenset({0})
+    states = tuple(f"s{i}" for i in range(n))
+    return ClassicalAutomaton.build(kind, states, tuple(alphabet), transitions, initial, accepting)
+
+
 def random_afa(
     rng: random.Random, n: int = 3, alphabet=("a", "b"), bound=Fraction(2)
 ) -> ClassicalAutomaton:
     """Random affine machine with entries in [-bound, bound], random dollar."""
-    transitions = {sym: random_affine_mat(rng, n, bound) for sym in alphabet}
-    transitions[DOLLAR] = random_affine_mat(rng, n, bound)
-    initial = rng.randrange(n)
-    accepting = frozenset(k for k in range(n) if rng.random() < 0.5) or frozenset({0})
-    states = tuple(f"s{i}" for i in range(n))
-    return ClassicalAutomaton.build("afa", states, tuple(alphabet), transitions, initial, accepting)
+    return _random_classical(rng, "afa", n, alphabet, lambda: random_affine_mat(rng, n, bound))
 
 
 def _stochastic_column(rng: random.Random, n: int) -> list[Fraction]:
@@ -62,12 +67,7 @@ def random_stochastic_mat(rng: random.Random, n: int) -> Mat:
 
 def random_pfa(rng: random.Random, n: int = 3, alphabet=("a", "b")) -> ClassicalAutomaton:
     """Random probabilistic machine with exact rational columns, random dollar."""
-    transitions = {sym: random_stochastic_mat(rng, n) for sym in alphabet}
-    transitions[DOLLAR] = random_stochastic_mat(rng, n)
-    initial = rng.randrange(n)
-    accepting = frozenset(k for k in range(n) if rng.random() < 0.5) or frozenset({0})
-    states = tuple(f"s{i}" for i in range(n))
-    return ClassicalAutomaton.build("pfa", states, tuple(alphabet), transitions, initial, accepting)
+    return _random_classical(rng, "pfa", n, alphabet, lambda: random_stochastic_mat(rng, n))
 
 
 def random_channel(rng: np.random.Generator, n: int, elements: int = 2) -> Superoperator:

@@ -81,7 +81,7 @@ def abseq_oracle() -> LanguageOracle:
 
 def dfa_oracle(machine: ClassicalAutomaton) -> LanguageOracle:
     """Membership decided by a deterministic machine (value exactly 1)."""
-    if machine.kind != "dfa":
+    if not isinstance(machine, ClassicalAutomaton) or machine.kind != "dfa":
         raise ValueError("oracle machines must be deterministic")
     if violations := machine.violations():
         raise ValueError(f"oracle machine has {len(violations)} violation(s), first: {violations[0]}")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +21,7 @@ from afalib.automata import (
 )
 from afalib.constructions import abs_eq, lapins, m1_eq, m2_eq
 from afalib.exactnum import Mat, basis_vector, l1_norm, vec
-from afalib.rand import random_afa, random_pfa
+from afalib.rand import random_afa, random_pfa, random_qfa
 
 
 def doubling_machine():
@@ -367,6 +368,11 @@ def test_normalized_semantics_reject_non_affine_machines():
     )
     with pytest.raises(ValueError):
         accept_value_normalized(m, "a")
+
+
+def test_normalized_semantics_reject_quantum_machines():
+    with pytest.raises(ValueError, match="affine machines only"):
+        accept_value_normalized(random_qfa(np.random.default_rng(0)), "a")
 
 
 # ---------------------------------------------------------------- weights

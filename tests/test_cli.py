@@ -89,6 +89,25 @@ def test_validate_parse_failure_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alphabet", ["ab", "a a"], ids=["multi-character-symbol", "duplicate-symbol"])
+def test_validate_a_bad_alphabet_is_a_usage_error(tmp_path, capsys, alphabet):
+    path = tmp_path / "alphabet.afa"
+    path.write_text(f"kind afa\nstates p\nalphabet {alphabet}\ninitial p\n\nsymbol {alphabet.split()[0]}\n1\n")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: ")
+
+
+def test_sweep_with_a_quantum_oracle_file_is_a_usage_error(tmp_path, m1_path, capsys):
+    oracle = tmp_path / "oracle.qfa"
+    oracle.write_text(dumps_automaton(afa_to_nqfa(m1_eq())))
+    code = main(["sweep", m1_path, "--cutpoint", "5/6", "--oracle", str(oracle), "--maxlen", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: oracle machines must be deterministic\n"
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nowhere.afa")]) == 2
 

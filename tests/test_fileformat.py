@@ -144,6 +144,8 @@ def test_accepting_line_is_optional():
         lambda t: t + "accepting p\n",
         lambda t: t.replace("kind afa\n", "kind afa\nkind afa\n"),
         lambda t: t.replace("kind afa", "kind afa pfa"),
+        lambda t: t.replace("alphabet a", "alphabet ab").replace("symbol a", "symbol ab"),
+        lambda t: t.replace("alphabet a", "alphabet a a"),
     ],
     ids=[
         "bad-kind",
@@ -159,11 +161,33 @@ def test_accepting_line_is_optional():
         "header-after-body",
         "repeated-kind",
         "two-kinds",
+        "multi-character-symbol",
+        "duplicate-alphabet-symbol",
     ],
 )
 def test_malformed_machines_raise_format_errors(mangle):
-    with pytest.raises(FormatError):
-        loads_automaton(mangle(MINIMAL))
+    with pytest.raises(FormatError, match="^m.afa:"):
+        loads_automaton(mangle(MINIMAL), "m.afa")
+
+
+QFA_MINIMAL = MINIMAL.replace("kind afa", "kind qfa").replace("2 0\n-1 1\n", "element\n0 1\n1 0\n")
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda t: t.replace("element\n0 1\n1 0\n", ""),
+        lambda t: t.replace("1 0\n", ""),
+        lambda t: t.replace("element\n", "element\nelement\n"),
+        lambda t: t.replace("element\n", ""),
+        lambda t: t + "\nsymbol b\nelement\n1 0\n0 1\n",
+    ],
+    ids=["no-element", "element-too-short", "empty-element", "rows-before-element", "symbol-outside-alphabet"],
+)
+def test_malformed_quantum_machines_raise_format_errors(mangle):
+    assert loads_automaton(QFA_MINIMAL).size == 2
+    with pytest.raises(FormatError, match="^m.afa:"):
+        loads_automaton(mangle(QFA_MINIMAL), "m.afa")
 
 
 def test_qfa_rejects_non_finite_entries():

@@ -99,6 +99,11 @@ def test_dfa_oracle_rejects_an_invalid_dfa():
         dfa_oracle(bad)
 
 
+def test_dfa_oracle_rejects_a_quantum_machine():
+    with pytest.raises(ValueError, match="oracle machines must be deterministic"):
+        dfa_oracle(random_qfa(np.random.default_rng(0)))
+
+
 def test_enumerate_strings_is_length_lexicographic():
     words = list(enumerate_strings("ab", 2))
     assert words == ["", "a", "b", "aa", "ab", "ba", "bb"]
