@@ -11,6 +11,7 @@ text and are byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .fileformat import (
     load_counter_spec,
 )
 from .quantum import DEFAULT_KAPPA, QuantumAutomaton, _accept_from_density, _clamped, qfa_final_density
-from .recognition import BUILTIN_ORACLES, SweepReport, dfa_oracle, sweep
+from .recognition import BUILTIN_ORACLES, SweepReport, _checked_cutpoint, _extremes, _verdicts, dfa_oracle
 
 USAGE_ERROR = 2
 CLAIM_FAILED = 1
@@ -100,45 +101,90 @@ def cmd_run(args) -> int:
 def _resolve_oracle(spec: str):
     if spec in BUILTIN_ORACLES:
         return BUILTIN_ORACLES[spec]()
-    return dfa_oracle(load_automaton(spec))
+    machine = load_automaton(spec)
+    try:
+        return dfa_oracle(machine)
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc}") from None
 
 
-def render_report(report: SweepReport) -> str:
-    """Tab-separated sweep report: one row per string, then aggregates."""
-    lines = ["string\tvalue\tmember\tagrees"]
-    for record in report.records:
-        agrees = {"agree": "1", "disagree": "0", "indeterminate": "?"}[record.verdict]
-        lines.append(
-            f"{record.string}\t{_render_value(record.value, report.kappa)}"
-            f"\t{int(record.member)}\t{agrees}"
-        )
-    lines.append("")
-    lines.append(f"mode\t{report.mode}")
-    lines.append(f"cutpoint\t{render_rational(report.cutpoint)}")
-    lines.append(f"maxlen\t{report.maxlen}")
-    lines.append(f"strings\t{len(report.records)}")
-    lines.append(f"counterexamples\t{len(report.counterexamples)}")
-    lines.append(f"indeterminate\t{len(report.indeterminate)}")
+_REPORT_HEADER = "string\tvalue\tmember\tagrees\n"
+_AGREES = {"agree": "1", "disagree": "0", "indeterminate": "?"}
+
+
+def _row_tail(value, member: bool, verdict: str, kappa: float) -> str:
+    """A report row after its string: value, membership and agreement."""
+    return f"\t{_render_value(value, kappa)}\t{int(member)}\t{_AGREES[verdict]}\n"
+
+
+def _render_aggregates(report: SweepReport, strings: int) -> str:
+    """What follows the rows of a report over ``strings`` strings: a blank
+    line, the aggregates, then one line per counterexample."""
 
     def extreme(value):
         return "-" if value is None else _render_value(value, report.kappa)
 
-    lines.append(f"min_member_value\t{extreme(report.min_member_value)}")
-    lines.append(f"max_nonmember_value\t{extreme(report.max_nonmember_value)}")
+    lines = [
+        "",
+        f"mode\t{report.mode}",
+        f"cutpoint\t{render_rational(report.cutpoint)}",
+        f"maxlen\t{report.maxlen}",
+        f"strings\t{strings}",
+        f"counterexamples\t{len(report.counterexamples)}",
+        f"indeterminate\t{len(report.indeterminate)}",
+        f"min_member_value\t{extreme(report.min_member_value)}",
+        f"max_nonmember_value\t{extreme(report.max_nonmember_value)}",
+    ]
     if report.mode == "isolation":
         # Width between the two populations; twice the isolation radius
         # when the cutpoint sits midway between them.
         lines.append(f"gap\t{extreme(report.gap)}")
-    for w in report.counterexamples:
-        lines.append(f"counterexample\t{w}")
+    lines += (f"counterexample\t{w}" for w in report.counterexamples)
     return "\n".join(lines) + "\n"
+
+
+def render_report(report: SweepReport) -> str:
+    """Tab-separated sweep report: one row per string, then aggregates."""
+    rows = [_REPORT_HEADER]
+    rows += (r.string + _row_tail(r.value, r.member, r.verdict, report.kappa) for r in report.records)
+    rows.append(_render_aggregates(report, len(report.records)))
+    return "".join(rows)
 
 
 def cmd_sweep(args) -> int:
     machine = load_automaton(args.path)
     oracle = _resolve_oracle(args.oracle)
-    report = sweep(machine, args.cutpoint, args.mode, oracle, args.maxlen, args.kappa)
-    _write(render_report(report), args.out)
+    mode, maxlen, kappa = args.mode, args.maxlen, args.kappa
+    cutpoint = _checked_cutpoint(machine, args.cutpoint, mode, oracle, maxlen)
+    memo: dict = {}
+    # The report of render_report(sweep(...)), without a record per string:
+    # each distinct memo entry's row tail is rendered once, keyed by the
+    # entry's id, which the memo keeps alive. The text is buffered in one
+    # StringIO, far smaller than a list of row strings, and written once,
+    # at the end, so a sweep that fails part-way writes nothing.
+    tails: dict[int, str] = {}
+    text = io.StringIO()
+    write = text.write
+    write(_REPORT_HEADER)
+    strings = 0
+    counterexamples, indeterminate = [], []
+    for w, entry in _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa, memo):
+        tail = tails.get(id(entry))
+        if tail is None:
+            tail = tails[id(entry)] = _row_tail(*entry, kappa)
+        write(w)
+        write(tail)
+        strings += 1
+        verdict = entry[2]
+        if verdict == "disagree":
+            counterexamples.append(w)
+        elif verdict == "indeterminate":
+            indeterminate.append(w)
+    # The rows are rendered already: the report holds only the aggregates.
+    low, high = _extremes(memo)
+    report = SweepReport(mode, cutpoint, maxlen, kappa, (), tuple(counterexamples), tuple(indeterminate), low, high)
+    write(_render_aggregates(report, strings))
+    _write(text.getvalue(), args.out)
     return 0 if report.ok else CLAIM_FAILED
 
 

@@ -39,9 +39,10 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import partial
 from typing import Sequence, Union
 
-from .automata import RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
+from .automata import KINDS, RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
 from .exactnum import Mat, parse_rational, render_rational
 from .quantum import QuantumAutomaton, Superoperator
 
@@ -138,12 +139,17 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
     header line, a bad ``symbol`` line or a repeated section, rows before
     a ``symbol`` or ``element`` line, a row of the wrong width, an
     unreadable entry. Any other error reads ``path: ...``: a missing or
-    mis-valued header line, an unknown state name, and every rule the
-    machine classes check when built (the kind, the alphabet, one section
-    per symbol, matrix and channel shapes).
+    mis-valued header line, an unknown kind or state name, and every rule
+    the machine classes check when built (the alphabet, one section per
+    symbol, matrix and channel shapes). An error in building one symbol's
+    matrix or channel, such as an empty section or operation element,
+    reads ``path: symbol 'a': ...``.
     """
     header, body = _parse_header(_logical_lines(text), path_hint)
     kind = header["kind"][0]
+    if kind not in _MACHINES:
+        raise FormatError(f"{path_hint}: unknown machine kind {kind!r}")
+    parse, build = _MACHINES[kind]
     states, initial, accepting = _state_indices(header, path_hint)
     alphabet = tuple(header["alphabet"])
     n = len(states)
@@ -163,19 +169,22 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
                 raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'symbol' line")
             current.append((lineno, tokens))
 
+    table = {}
+    for sym, rows in sections.items():
+        try:
+            table[sym] = parse(rows, n, path_hint)
+        except FormatError:
+            raise
+        except ValueError as exc:
+            raise FormatError(f"{path_hint}: symbol {sym!r}: {exc}") from None
     try:
-        if kind == "qfa":
-            channels = {sym: _parse_channel(body, n, path_hint) for sym, body in sections.items()}
-            return QuantumAutomaton.build(states, alphabet, channels, initial, accepting)
-        transitions = {
-            sym: Mat([_row(tokens, n, lineno, path_hint, parse_rational) for lineno, tokens in body])
-            for sym, body in sections.items()
-        }
-        return ClassicalAutomaton.build(kind, states, alphabet, transitions, initial, accepting)
-    except FormatError:
-        raise
+        return build(states, alphabet, table, initial, accepting)
     except ValueError as exc:
         raise FormatError(f"{path_hint}: {exc}") from None
+
+
+def _parse_matrix(body, n, path_hint) -> Mat:
+    return Mat([_row(tokens, n, lineno, path_hint, parse_rational) for lineno, tokens in body])
 
 
 def _parse_channel(body, n, path_hint) -> Superoperator:
@@ -188,6 +197,14 @@ def _parse_channel(body, n, path_hint) -> Superoperator:
         else:
             elements[-1].append(_row(tokens, n, lineno, path_hint, _float_entry))
     return Superoperator(tuple(elements))
+
+
+#: For each value of the ``kind`` header line: the parser of one symbol's
+#: section and the builder of the machine from the parsed sections.
+_MACHINES = {
+    "qfa": (_parse_channel, QuantumAutomaton.build),
+    **{kind: (_parse_matrix, partial(ClassicalAutomaton.build, kind)) for kind in KINDS},
+}
 
 
 def load_automaton(path) -> Machine:

@@ -31,7 +31,7 @@ _CLAIMS = {
 }
 MODES = tuple(_CLAIMS)
 
-#: Refuse sweeps over more strings than this; a sweep keeps one record per string.
+#: Refuse sweeps over more strings than this; a sweep keeps one record or report row per string.
 SWEEP_CAP = 10**6
 
 
@@ -191,6 +191,67 @@ def _machine_values(machine: Machine, maxlen: int) -> Iterator[tuple[str, Value]
     return prefix_values(machine, maxlen)
 
 
+def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOracle, maxlen: int) -> Fraction:
+    """Check a sweep request before any string is evaluated; return the cutpoint its report shows."""
+    if mode not in MODES:
+        raise ValueError(f"unknown sweep mode {mode!r}; choose from {MODES}")
+    if set(machine.alphabet) != set(oracle.alphabet):
+        raise ValueError(
+            f"alphabet mismatch: machine {machine.alphabet} vs oracle {oracle.alphabet}"
+        )
+    if _corpus_size(len(machine.alphabet), maxlen) > SWEEP_CAP:
+        raise ValueError(
+            f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
+        )
+    return Fraction(0) if mode == "nondet" else Fraction(cutpoint)
+
+
+def _verdicts(
+    machine: Machine,
+    cutpoint: Fraction,
+    mode: str,
+    oracle: LanguageOracle,
+    maxlen: int,
+    kappa: float,
+    memo: dict,
+) -> Iterator[tuple[str, tuple[Value, bool, str]]]:
+    """Yield each string of a checked request with its memo entry ``(value, member, verdict)``.
+
+    Counting languages reach few distinct values: each (value, member)
+    pair is decided once, and its entry in ``memo`` is the same object
+    for every string that reaches the pair. An exact value is keyed by
+    its integer ratio, which hashes faster than the Fraction; a float by
+    itself. The entry keeps the first value, equal to every later one.
+    """
+    threshold = _threshold(machine, cutpoint)
+    claims = _CLAIMS[mode]
+    exact = not isinstance(machine, QuantumAutomaton)
+    for w, value in _machine_values(machine, maxlen):
+        # The alphabets match (checked with the request), so no per-letter check.
+        member = bool(oracle.membership(w))
+        key = (value.as_integer_ratio() if exact else value, member)
+        entry = memo.get(key)
+        if entry is None:
+            sign = _sign(value, threshold, kappa)
+            if sign is None:
+                verdict = "indeterminate"
+            elif claims[sign + 1] == member:
+                verdict = "agree"
+            else:
+                verdict = "disagree"
+            entry = memo[key] = (value, member, verdict)
+        yield w, entry
+
+
+def _extremes(memo: dict) -> tuple[Value | None, Value | None]:
+    """The least member value and the greatest non-member value among a sweep's memo entries."""
+    entries = memo.values()
+    return (
+        min((v for v, member, _ in entries if member), default=None),
+        max((v for v, member, _ in entries if not member), default=None),
+    )
+
+
 def sweep(
     machine: Machine,
     cutpoint,
@@ -210,51 +271,22 @@ def sweep(
     :data:`SWEEP_CAP` strings raises ``ValueError`` before any string is
     evaluated.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}; choose from {MODES}")
-    if set(machine.alphabet) != set(oracle.alphabet):
-        raise ValueError(
-            f"alphabet mismatch: machine {machine.alphabet} vs oracle {oracle.alphabet}"
-        )
-    if _corpus_size(len(machine.alphabet), maxlen) > SWEEP_CAP:
-        raise ValueError(
-            f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
-        )
-    cutpoint = Fraction(0) if mode == "nondet" else Fraction(cutpoint)
-    threshold = _threshold(machine, cutpoint)
-    claims = _CLAIMS[mode]
-    # Counting languages reach few distinct values: decide each pair once.
-    # An exact value is keyed by its integer ratio, which hashes faster than
-    # the Fraction; a float by itself. The memo keeps the first value beside
-    # its verdict, so the extremes read off it are those of the records.
-    exact = not isinstance(machine, QuantumAutomaton)
-    memo: dict[tuple, tuple[Value, bool, str]] = {}
-    records = []
-    for w, value in _machine_values(machine, maxlen):
-        # The alphabets match (checked above), so no per-letter check.
-        member = bool(oracle.membership(w))
-        key = (value.as_integer_ratio() if exact else value, member)
-        seen = memo.get(key)
-        if seen is None:
-            sign = _sign(value, threshold, kappa)
-            if sign is None:
-                verdict = "indeterminate"
-            elif claims[sign + 1] == member:
-                verdict = "agree"
-            else:
-                verdict = "disagree"
-            seen = memo[key] = (value, member, verdict)
-        records.append(StringRecord(w, value, member, seen[2]))
+    cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
+    memo: dict = {}
+    records = tuple(
+        StringRecord(w, *entry) for w, entry in _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa, memo)
+    )
+    low, high = _extremes(memo)
     return SweepReport(
         mode,
         cutpoint,
         maxlen,
         kappa,
-        tuple(records),
+        records,
         counterexamples=tuple(r.string for r in records if r.verdict == "disagree"),
         indeterminate=tuple(r.string for r in records if r.verdict == "indeterminate"),
-        min_member_value=min((v for v, member, _ in memo.values() if member), default=None),
-        max_nonmember_value=max((v for v, member, _ in memo.values() if not member), default=None),
+        min_member_value=low,
+        max_nonmember_value=high,
     )
 
 

@@ -105,7 +105,36 @@ def test_sweep_with_a_quantum_oracle_file_is_a_usage_error(tmp_path, m1_path, ca
     oracle.write_text(dumps_automaton(afa_to_nqfa(m1_eq())))
     code = main(["sweep", m1_path, "--cutpoint", "5/6", "--oracle", str(oracle), "--maxlen", "2"])
     assert code == 2
-    assert capsys.readouterr().err == "error: oracle machines must be deterministic\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {oracle}: oracle machines must be deterministic\n"
+
+
+QFA_ONE_SYMBOL = "kind qfa\nstates p q\nalphabet a\ninitial p\n\nsymbol a\nelement\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (QFA_ONE_SYMBOL.replace("kind qfa", "kind qfb"), "unknown machine kind 'qfb'"),
+        (
+            "kind afa\nstates p q\nalphabet a\ninitial p\n\nsymbol a\n",
+            "symbol 'a': matrices need at least one row and one column",
+        ),
+        (
+            QFA_ONE_SYMBOL.replace("element\n", "element\nelement\n"),
+            "symbol 'a': operation elements must be square, got shape (0,)",
+        ),
+    ],
+    ids=["mistyped-kind", "empty-symbol-section", "empty-element"],
+)
+def test_validate_names_the_file_and_the_symbol_at_fault(tmp_path, capsys, text, message):
+    path = tmp_path / "m.afa"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -251,6 +280,52 @@ def test_sweep_reports_match_their_golden_digests(build, cutpoint, mode, oracle,
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
 
 
+# The golden sweeps, an exact sweep with counterexamples, and a quantum
+# sweep with counterexamples and indeterminate strings.
+CLI_SWEEPS = [
+    *GOLDEN_REPORTS,
+    (m1_eq, "1/2", "cutpoint", "eq", 8, None),
+    (lambda: afa_to_nqfa(lapins()), "0", "nondet", "lapins", 5, None),
+]
+
+
+@pytest.mark.parametrize(
+    "build, cutpoint, mode, oracle, maxlen, digest",
+    CLI_SWEEPS,
+    ids=[
+        "m1_eq",
+        "m2_eq",
+        "abs_eq",
+        "lapins",
+        "m2_eq-exclusive",
+        "m1_eq-nondet",
+        "afa_to_nqfa(abs_eq)-nondet",
+        "m1_eq-counterexamples",
+        "afa_to_nqfa(lapins)-nondet",
+    ],
+)
+def test_sweep_command_writes_the_library_report(tmp_path, capsys, build, cutpoint, mode, oracle, maxlen, digest):
+    machine = build()
+    path = tmp_path / "m.afa"
+    path.write_text(dumps_automaton(machine))
+    report = sweep(machine, Fraction(cutpoint), mode, BUILTIN_ORACLES[oracle](), maxlen)
+    if digest is None:
+        assert report.counterexamples
+        assert report.indeterminate or not isinstance(machine, QuantumAutomaton)
+    expected = render_report(report).encode()
+    argv = ["sweep", str(path), "--cutpoint", cutpoint, "--mode", mode, "--oracle", oracle]
+    argv += ["--maxlen", str(maxlen)]
+    out = tmp_path / "report.tsv"
+    code = 0 if report.ok else 1
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == expected
+    if digest is not None:
+        assert hashlib.sha256(expected).hexdigest() == digest
+
+
 def test_sweep_oracle_can_be_a_dfa_file(tmp_path, capsys):
     dfa = tmp_path / "parity.dfa"
     dfa.write_text(
@@ -310,6 +385,25 @@ def test_sweep_zero_state_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and "zero vector" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_reaching_the_zero_vector_after_some_rows_writes_nothing(tmp_path, capsys):
+    # 'a' moves p to q and q to the zero vector: "", "a" and "b" have rows
+    # before "aa" fails.
+    path = tmp_path / "late-zero.afa"
+    late_zero = ZERO_MATRIX.replace("alphabet a", "alphabet a b").replace("0 0\n0 0\n", "0 0\n1 0\n")
+    path.write_text(late_zero + "\nsymbol b\n1 0\n0 1\n")
+    out = tmp_path / "report.tsv"
+    argv = ["sweep", str(path), "--cutpoint", "1/2", "--oracle", "eq", "--maxlen"]
+    assert main([*argv, "1"]) == 1  # "b" has value 1 but is not in eq
+    capsys.readouterr()
+    for extra in ([], ["--out", str(out)]):
+        assert main([*argv, "3", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "zero vector" in captured.err
     assert not out.exists()
 
 
