@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     if quantum:
         rho = qfa_final_density(machine, w)
         final = [float(p) for p in rho.diagonal()]
-        value = _clamped(w, float(_accept_from_density(machine, rho[None])[0]))
+        value = _clamped(w, float(_accept_from_density(machine.accepting, rho[None])[0]))
     else:
         state = _final(machine, w)
         final, value = state_vector(state), _readout(machine, state)

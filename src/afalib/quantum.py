@@ -5,6 +5,13 @@ given by a finite family of operation elements, rho -> sum_j E_j rho E_j^T,
 and acceptance is the probability mass on the accepting diagonal entries
 after the right end-marker. Scalars are real doubles throughout; channel
 validity and float comparisons use the ``DEFAULT_KAPPA`` tolerance.
+
+Acceptance reads only the accepting block: the least set S of states that
+holds the accepting states and every state an operation element reads
+into S. The S x S block of the density evolves on its own, so
+:func:`qfa_accept` and :func:`qfa_prefix_values` step that block alone,
+through the elements that write into it; :func:`qfa_final_density` steps
+the whole density.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ DEFAULT_KAPPA = 1e-9
 
 #: Floats of densities that qfa_prefix_values steps through one channel
 #: call; chosen by timing the enumeration of the benchmark's machines.
-BLOCK_FLOATS = 32 * 1024
+BLOCK_FLOATS = 16 * 1024
 
 #: Refuse branching evaluation trees with more leaves than this.
 DEFAULT_TREE_CAP = 10**6
@@ -196,16 +203,55 @@ def qfa_final_density(machine: QuantumAutomaton, w: str) -> np.ndarray:
     return rho[0]
 
 
-def _accept_from_density(machine: QuantumAutomaton, rhos: np.ndarray) -> np.ndarray:
+def _accept_from_density(accepting: Iterable[int], rhos: np.ndarray) -> np.ndarray:
     """Unclamped accepting mass of each density of an ``(N, d, d)`` stack.
 
-    The accepting diagonal entries are added from 0 in
-    ``machine.accepting`` order, for every density at once.
+    The diagonal entries at the indices ``accepting`` are added from 0 in
+    that order, for every density at once; callers pass them in
+    ``machine.accepting`` order.
     """
     raw = np.zeros(len(rhos))
-    for k in machine.accepting:
+    for k in accepting:
         raw += rhos[:, k, k]
     return raw
+
+
+def _accepting_block(machine: QuantumAutomaton) -> tuple[dict[str, Superoperator], np.ndarray, list[int]]:
+    """The channels, start density and readout of ``machine``'s accepting block.
+
+    The block S is the least set of state indices that holds the
+    accepting states and has E[k, j] = 0 for every operation element E of
+    every channel, every k in S and every j outside S. For k, l in S,
+    (E rho E^T)[k, l] then reads only rho[S, S]: the S x S block evolves on
+    its own and carries the whole acceptance. Each channel keeps E[S, S]
+    for the elements whose rows in S are not all zero, in their order (a
+    single zero element when there is none). S is sorted, so a restricted
+    product adds the same nonzero terms in the same order as the full one.
+
+    Returns the restricted channels by symbol, the basis density of the
+    initial state restricted to S as a stack of one (all zeros when the
+    initial state is outside S), and the positions in S of the accepting
+    states in ``machine.accepting`` order.
+    """
+    n = machine.size
+    reads = np.zeros((n, n), dtype=bool)
+    for channel in machine.channels.values():
+        for e in channel.elements:
+            reads |= e != 0
+    inside = np.zeros(n, dtype=bool)
+    inside[list(machine.accepting)] = True
+    frontier = inside.copy()
+    while frontier.any():
+        frontier = reads[frontier].any(axis=0) & ~inside
+        inside |= frontier
+    block = np.flatnonzero(inside)
+    cut = np.ix_(block, block)
+    channels = {}
+    for sym, channel in machine.channels.items():
+        kept = tuple(sub for sub in (e[cut] for e in channel.elements) if sub.any())
+        channels[sym] = Superoperator(kept or (np.zeros((len(block), len(block))),))
+    start = basis_density(n, machine.initial)[cut][None]
+    return channels, start, np.searchsorted(block, list(machine.accepting)).tolist()
 
 
 def _finite(w: str, raw: float) -> float:
@@ -225,33 +271,44 @@ def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
 
     The unclamped value can stray from the interval by at most the
     accumulated float error, on the order of ``DEFAULT_KAPPA`` for valid
-    channels. A value that is not finite (the channels overflowed) raises
-    ``ValueError`` naming ``w``.
+    channels. A value that is not finite (the channels overflowed inside
+    the accepting block) raises ``ValueError`` naming ``w``.
     """
-    raw = _accept_from_density(machine, qfa_final_density(machine, w)[None])
-    return _clamped(w, float(raw[0]))
+    channels, rho, accepting = _accepting_block(machine)
+    for channel in _operators(machine, channels, w):
+        rho = apply_channel(channel, rho)
+    return _clamped(w, float(_accept_from_density(accepting, rho)[0]))
 
 
 def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[str, float]]:
     """Quantum twin of :func:`afalib.automata.prefix_values`, same ordering.
 
+    Only the accepting block S of the density is stepped, through the
+    elements that write into it (see :func:`_accepting_block`).
+    ``afa_to_nqfa`` never writes from its residual block back into the
+    original one, so S lies in the original block and only the first
+    element of each channel survives: ``lapins`` steps 25 states through
+    one element instead of 50 through three.
+
     Per-string values equal :func:`qfa_accept` exactly, float for float:
-    both step stacks of densities through :func:`apply_channel` and read
-    them out with the same sums. Each length level is stepped as
-    ``(N, d, d)`` stacks in blocks of at most ``BLOCK_FLOATS`` floats:
-    each symbol's channel steps a whole block in one call, and the block
-    of children this makes is read out at once. The deepest level is read
-    out block by block and never stored. Nothing is cached by state: float
-    densities almost never repeat bit for bit (the 32,767, 8,191 and 3,280
-    strings of the ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and
-    ``lapins`` to lengths 14, 12 and 7 reach as many distinct densities),
-    so a table keyed by density would only cost memory. A value that is
-    not finite raises ``ValueError`` naming its string.
+    both step stacks of the same block densities through
+    :func:`apply_channel` and read them out with the same sums, and both
+    equal the accepting mass of the full :func:`qfa_final_density` while it
+    is finite. Each length level is stepped as ``(N, |S|, |S|)`` stacks in
+    blocks of at most ``BLOCK_FLOATS`` floats: each symbol's channel steps
+    a whole block in one call, and the block of children this makes is
+    read out at once. The deepest level is read out block by block and
+    never stored. Nothing is cached by state: float densities almost never
+    repeat bit for bit (the 32,767, 8,191 and 3,280 strings of the
+    ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and ``lapins`` to
+    lengths 14, 12 and 7 reach as many distinct densities), so a table
+    keyed by density would only cost memory. A value that is not finite
+    raises ``ValueError`` naming its string.
     """
-    channels = machine.channels
+    channels, start, accepting = _accepting_block(machine)
     steps = [channels[sym] for sym in machine.alphabet]
-    size = machine.size
-    rows = max(1, BLOCK_FLOATS // (size * size))
+    size = start.shape[-1]
+    rows = max(1, BLOCK_FLOATS // (size * size or 1))
 
     def children(rhos: np.ndarray) -> Iterator[np.ndarray]:
         for i in range(0, len(rhos), rows):
@@ -260,13 +317,13 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
             kids = np.empty((len(part), len(steps), size, size))
             for j, channel in enumerate(steps):
                 kids[:, j] = apply_channel(channel, part)
-            yield kids.reshape(-1, size, size)
+            # Counted, not -1: an empty block has densities of no entries.
+            yield kids.reshape(len(part) * len(steps), size, size)
 
     def readout(rhos: np.ndarray) -> list[float]:
-        return _accept_from_density(machine, apply_channel(channels[DOLLAR], rhos)).tolist()
+        return _accept_from_density(accepting, apply_channel(channels[DOLLAR], rhos)).tolist()
 
-    start = apply_channel(channels[CENT], basis_density(size, machine.initial)[None])
-    for w, raw in _length_lex(machine.alphabet, maxlen, start, children, readout):
+    for w, raw in _length_lex(machine.alphabet, maxlen, apply_channel(channels[CENT], start), children, readout):
         yield w, _clamped(w, raw)
 
 

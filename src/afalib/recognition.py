@@ -314,15 +314,22 @@ def isolation_gap(
     maxlen: int,
     kappa: float = DEFAULT_KAPPA,
 ) -> IsolationReport:
-    """Measure how far machine values stay from a cutpoint, per oracle side."""
-    cutpoint = Fraction(cutpoint)
-    report = sweep(machine, cutpoint, "isolation", oracle, maxlen, kappa)
+    """Measure how far machine values stay from a cutpoint, per oracle side.
+
+    Checks the request as :func:`sweep` does, but keeps no record per
+    string: the extremes are read off the verdict memo.
+    """
+    cutpoint = _checked_cutpoint(machine, cutpoint, "isolation", oracle, maxlen)
+    memo: dict = {}
+    for _ in _verdicts(machine, cutpoint, "isolation", oracle, maxlen, kappa, memo):
+        pass
+    low, high = _extremes(memo)
     gap = None
-    if report.min_member_value is not None and report.max_nonmember_value is not None:
-        radius = min(report.min_member_value - cutpoint, cutpoint - report.max_nonmember_value)
+    if low is not None and high is not None:
+        radius = min(low - cutpoint, cutpoint - high)
         if radius > 0:
             gap = 2 * radius
-    return IsolationReport(cutpoint, report.min_member_value, report.max_nonmember_value, gap)
+    return IsolationReport(cutpoint, low, high, gap)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from afalib.automata import dfa_automaton, prefix_values
+from afalib import quantum
 from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq
 from afalib.quantum import (
     QuantumAutomaton,
     Superoperator,
+    _accept_from_density,
+    _accepting_block,
+    _clamped,
     apply_channel,
     basis_density,
     density_defects,
@@ -26,6 +30,7 @@ from afalib.quantum import (
     validate_channel,
 )
 from afalib.rand import random_channel, random_qfa
+from afalib.recognition import enumerate_strings
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -41,6 +46,43 @@ def overflowing_machine() -> QuantumAutomaton:
         channels={"a": Superoperator((np.array([[1e200, 0.0], [-1e200, 1.0]]),)), "b": Superoperator.identity(2)},
         initial=0,
         accepting=(1,),
+    )
+
+
+def block_machine(seed: int) -> QuantumAutomaton:
+    """Random valid 6-state machine whose accepting block is 3 scattered states.
+
+    Each channel's first two elements act block-diagonally on three states
+    S and the other three; two more elements move the rest of S's mass out
+    of S and have zero rows in S. States are shuffled, so S is not a prefix.
+    """
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(6)
+    shuffle = np.eye(6)[order]
+
+    def channel() -> Superoperator:
+        inner, outer = random_channel(rng, 3, 2), random_channel(rng, 3, 2)
+        keep = float(rng.uniform(0.5, 0.9))
+        elements = []
+        for a, b in zip(inner.elements, outer.elements):
+            e = np.zeros((6, 6))
+            e[:3, :3], e[3:, 3:] = math.sqrt(keep) * a, b
+            elements.append(e)
+        # Two leaks whose squares add up to (1 - keep) on S.
+        for rows in ((0, 1), (2,)):
+            e = np.zeros((6, 6))
+            for i, k in enumerate(rows):
+                e[3 + i, k] = math.sqrt(1 - keep)
+            elements.append(e)
+        return Superoperator(tuple(shuffle @ e @ shuffle.T for e in elements))
+
+    inside = [int(np.flatnonzero(order == k)[0]) for k in range(3)]
+    return QuantumAutomaton(
+        tuple(f"q{i}" for i in range(6)),
+        ("a", "b"),
+        {sym: channel() for sym in ("a", "b", "cent", "dollar")},
+        inside[1],
+        frozenset({inside[2], inside[0]}),
     )
 
 
@@ -255,6 +297,95 @@ def test_a_non_finite_acceptance_raises_naming_the_string():
     assert next(values) == ("", 0.0)
     with pytest.raises(ValueError, match="acceptance of 'a' is .*not a finite number"):
         next(values)
+
+
+def test_afa_to_nqfa_steps_its_original_block_through_one_element():
+    for build, states in ((m1_eq, 1), (abs_eq, 6), (lapins, 25)):
+        machine = afa_to_nqfa(build())
+        channels, start, _ = _accepting_block(machine)
+        assert start.shape == (1, states, states)
+        assert machine.size == 2 * build().size
+        assert {len(channel.elements) for channel in channels.values()} == {1}
+
+
+def test_block_machine_steps_a_proper_subset():
+    machine = block_machine(3)
+    assert all(len(channel.elements) == 4 for channel in machine.channels.values())
+    assert not machine.violations()
+    channels, start, accepting = _accepting_block(machine)
+    assert start.shape == (1, 3, 3) and start.sum() == 1.0
+    assert all(len(channel.elements) == 2 for channel in channels.values())
+    assert len(accepting) == 2
+
+
+@pytest.mark.parametrize(
+    "machine, maxlen",
+    [
+        (afa_to_nqfa(m1_eq()), 9),
+        (afa_to_nqfa(abs_eq()), 8),
+        (afa_to_nqfa(lapins()), 5),
+        (block_machine(3), 8),
+        (block_machine(4), 8),
+    ],
+    ids=["afa_to_nqfa(m1_eq)", "afa_to_nqfa(abs_eq)", "afa_to_nqfa(lapins)", "block_machine-3", "block_machine-4"],
+)
+def test_the_accepting_block_reads_the_full_density_bit_for_bit(machine, maxlen, monkeypatch):
+    # Small blocks, so that every level past the first few spans several.
+    monkeypatch.setattr(quantum, "BLOCK_FLOATS", 64)
+    rows = list(qfa_prefix_values(machine, maxlen))
+    assert len(rows) == sum(len(machine.alphabet) ** n for n in range(maxlen + 1))
+    assert any(0.0 < value < 1.0 for _, value in rows)
+    for w, value in rows:
+        full = _accept_from_density(machine.accepting, qfa_final_density(machine, w)[None])
+        assert value == qfa_accept(machine, w) == _clamped(w, float(full[0]))
+
+
+def test_a_machine_without_accepting_states_accepts_nothing():
+    machine = replace(random_qfa(np.random.default_rng(31), n=3, elements=2), accepting=frozenset())
+    channels, start, accepting = _accepting_block(machine)
+    assert start.shape == (1, 0, 0) and accepting == []
+    assert all(channel.dim == 0 for channel in channels.values())
+    assert list(qfa_prefix_values(machine, 3)) == [(w, 0.0) for w in enumerate_strings(machine.alphabet, 3)]
+    assert qfa_accept(machine, "ab") == 0.0
+
+
+def test_an_initial_state_outside_the_block_accepts_nothing():
+    # q and r never read p, so the block is {q, r}, and p keeps its mass.
+    turn = np.eye(3)
+    turn[1:, 1:] = rotation(0.7)
+    stay = np.diag([1.0, 0.0, 0.0])
+    machine = QuantumAutomaton.build(
+        states=("p", "q", "r"),
+        alphabet=("a", "b"),
+        channels={"a": Superoperator((turn,)), "b": Superoperator((turn - stay, stay))},
+        initial=0,
+        accepting=(2,),
+    )
+    assert not machine.violations()
+    channels, start, _ = _accepting_block(machine)
+    assert start.shape == (1, 2, 2) and not start.any()
+    assert [len(channels[sym].elements) for sym in ("a", "b")] == [1, 1]
+    values = list(qfa_prefix_values(machine, 4))
+    assert values == [(w, 0.0) for w in enumerate_strings(machine.alphabet, 4)]
+    assert qfa_accept(machine, "ba") == 0.0
+    assert qfa_final_density(machine, "ba")[0, 0] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflow_outside_the_accepting_block_leaves_the_acceptance_finite():
+    # r reads p and grows by 1e200 a letter; the block {p} reads only p.
+    m = QuantumAutomaton.build(
+        states=("p", "q", "r"),
+        alphabet=("a",),
+        channels={"a": Superoperator((np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1e200]]),))},
+        initial=0,
+        accepting=(0,),
+    )
+    # In the full density 0 * inf reaches p from the second letter on.
+    full = _accept_from_density(m.accepting, qfa_final_density(m, "aa")[None])
+    assert math.isnan(full[0])
+    assert qfa_accept(m, "aa") == qfa_accept(m, "aaa") == 1.0
+    assert list(qfa_prefix_values(m, 4)) == [("a" * n, 1.0) for n in range(5)]
 
 
 def test_qfa_prefix_values_stays_lazy():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from afalib.automata import ClassicalAutomaton, dfa_automaton
-from afalib.constructions import abs_eq, afa_to_nqfa, m1_eq, m2_eq
+from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
 from afalib.exactnum import Mat
 from afalib.rand import random_afa, random_qfa
 from afalib.recognition import (
@@ -281,6 +281,35 @@ def test_isolation_gap_vanishes_on_a_touching_cutpoint():
 def test_isolation_gap_off_center_cutpoint():
     report = isolation_gap(m1_eq(), Fraction(3, 4), EQ, 6)
     assert report.gap == 2 * (Fraction(3, 4) - Fraction(2, 3))
+
+
+@pytest.mark.parametrize(
+    "machine, oracle, maxlen",
+    [
+        (m1_eq(), "eq", 8),
+        (m2_eq(3), "eq", 8),
+        (abs_eq(), "abseq", 8),
+        (lapins(), "lapins", 5),
+        (afa_to_nqfa(abs_eq()), "abseq", 6),
+    ],
+    ids=["m1_eq", "m2_eq(3)", "abs_eq", "lapins", "afa_to_nqfa(abs_eq)"],
+)
+def test_isolation_gap_reads_the_extremes_of_the_sweep(machine, oracle, maxlen):
+    oracle = BUILTIN_ORACLES[oracle]()
+    report = sweep(machine, 0, "isolation", oracle, maxlen)
+    low, high = report.min_member_value, report.max_nonmember_value
+    # Midway between the extremes, twice the radius is the sweep's gap.
+    cutpoint = (Fraction(low) + Fraction(high)) / 2
+    iso = isolation_gap(machine, cutpoint, oracle, maxlen)
+    assert (iso.min_member_value, iso.max_nonmember_value) == (low, high)
+    assert iso.gap == (report.gap if report.gap > 0 else None)
+
+
+def test_isolation_gap_checks_its_request_as_a_sweep_does():
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        isolation_gap(m1_eq(), Fraction(5, 6), BUILTIN_ORACLES["lapins"](), 2)
+    with pytest.raises(ValueError, match="more than"):
+        isolation_gap(m1_eq(), Fraction(5, 6), EQ, 10**9)
 
 
 # ------------------------------------------------------------- equivalence
