@@ -212,7 +212,7 @@ def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
     the result equals :func:`accept_value` exactly. An invalid machine
     that reaches the zero vector raises ``ValueError``.
     """
-    if not isinstance(machine, ClassicalAutomaton) or machine.kind != "afa":
+    if machine.kind != "afa":
         raise ValueError("normalized semantics is defined for affine machines only")
     state = _initial(machine)
     for mat in _operators(machine, machine.transitions, w):

@@ -17,15 +17,10 @@ import sys
 from fractions import Fraction
 
 from . import constructions, recognition
-from .automata import ClassicalAutomaton, _final, _readout, accept_value_normalized
+from .automata import _final, _readout, accept_value_normalized
 from .exactnum import RationalParseError, parse_rational, render_rational, state_vector
-from .fileformat import (
-    FormatError,
-    dumps_automaton,
-    load_automaton,
-    load_counter_spec,
-)
-from .quantum import DEFAULT_KAPPA, QuantumAutomaton, _accept_from_density, _clamped, qfa_final_density
+from .fileformat import dumps_automaton, load_automaton, load_counter_spec
+from .quantum import DEFAULT_KAPPA, qfa_accept, qfa_final_density
 from .recognition import BUILTIN_ORACLES, SweepReport, _checked_cutpoint, _extremes, _verdicts, dfa_oracle
 
 USAGE_ERROR = 2
@@ -70,7 +65,7 @@ def _print_violations(violations) -> int:
 
 def cmd_validate(args) -> int:
     machine = load_automaton(args.path)
-    if isinstance(machine, QuantumAutomaton):
+    if machine.kind == "qfa":
         return _print_violations(machine.violations(args.kappa))
     return _print_violations(machine.violations())
 
@@ -78,18 +73,19 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     machine = load_automaton(args.path)
     w = args.input
-    quantum = isinstance(machine, QuantumAutomaton)
     if args.normalized:
-        if quantum or machine.kind != "afa":
+        if machine.kind != "afa":
             raise ValueError("--normalized applies to affine machines only")
         print("value " + render_rational(accept_value_normalized(machine, w)))
         return 0
-    # One walk of the string; both values before any output, so a failing
-    # readout leaves stdout empty.
-    if quantum:
-        rho = qfa_final_density(machine, w)
-        final = [float(p) for p in rho.diagonal()]
-        value = _clamped(w, float(_accept_from_density(machine.accepting, rho[None])[0]))
+    # Both lines before any output, so a failing readout leaves stdout empty.
+    if machine.kind == "qfa":
+        # The value a sweep reports, read off the accepting block; the
+        # whole density only for the final line.
+        value = qfa_accept(machine, w)
+        final = qfa_final_density(machine, w).diagonal().tolist()
+        if not all(map(math.isfinite, final)):
+            raise ValueError(f"the density after {w!r} is not finite: the machine's channels are not valid")
     else:
         state = _final(machine, w)
         final, value = state_vector(state), _readout(machine, state)
@@ -188,22 +184,16 @@ def cmd_sweep(args) -> int:
     return 0 if report.ok else CLAIM_FAILED
 
 
-def _classical(path) -> ClassicalAutomaton:
-    machine = load_automaton(path)
-    if not isinstance(machine, ClassicalAutomaton):
-        raise FormatError(f"{path}: expected a classical machine")
-    return machine
-
-
 # name -> (input loader, input count, required flags, construction); the
-# construction takes the loaded inputs, then the flag values.
+# construction takes the loaded inputs, then the flag values, and refuses
+# a machine of a kind it does not start from.
 _CONSTRUCTIONS = {
-    "shift-interior": (_classical, 1, ("from_cutpoint", "to_cutpoint"), constructions.shift_interior),
-    "shift-zero": (_classical, 1, ("to_cutpoint",), lambda m, lam: constructions.shift_extreme(m, "zero", lam)),
-    "shift-one": (_classical, 1, ("to_cutpoint",), lambda m, lam: constructions.shift_extreme(m, "one", lam)),
-    "pfa-to-nafa": (_classical, 1, (), constructions.exclusive_pfa_to_nafa),
-    "afa-to-nqfa": (_classical, 1, (), constructions.afa_to_nqfa),
-    "tensor": (_classical, 2, (), constructions.tensor),
+    "shift-interior": (load_automaton, 1, ("from_cutpoint", "to_cutpoint"), constructions.shift_interior),
+    "shift-zero": (load_automaton, 1, ("to_cutpoint",), lambda m, lam: constructions.shift_extreme(m, "zero", lam)),
+    "shift-one": (load_automaton, 1, ("to_cutpoint",), lambda m, lam: constructions.shift_extreme(m, "one", lam)),
+    "pfa-to-nafa": (load_automaton, 1, (), constructions.exclusive_pfa_to_nafa),
+    "afa-to-nqfa": (load_automaton, 1, (), constructions.afa_to_nqfa),
+    "tensor": (load_automaton, 2, (), constructions.tensor),
     "counters": (load_counter_spec, 1, (), constructions.compile_blind_counters),
 }
 

@@ -218,8 +218,8 @@ def dumps_automaton(machine: Machine) -> str:
     Round-trips exactly: classical entries print as lowest-term
     rationals, quantum entries with full float precision.
     """
-    quantum = isinstance(machine, QuantumAutomaton)
-    lines = [f"kind {'qfa' if quantum else machine.kind}"]
+    quantum = machine.kind == "qfa"
+    lines = [f"kind {machine.kind}"]
     lines.append("states " + " ".join(machine.states))
     lines.append("alphabet " + " ".join(machine.alphabet))
     lines.append(f"initial {machine.states[machine.initial]}")

@@ -10,15 +10,16 @@ Acceptance reads only the accepting block: the least set S of states that
 holds the accepting states and every state an operation element reads
 into S. The S x S block of the density evolves on its own, so
 :func:`qfa_accept` and :func:`qfa_prefix_values` step that block alone,
-through the elements that write into it; :func:`qfa_final_density` steps
-the whole density.
+through the elements that write into it; each machine builds its block
+once. :func:`qfa_final_density` steps the whole density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -156,6 +157,7 @@ def _channel_misfit(sym: str, channel: Superoperator, n: int) -> str | None:
 class QuantumAutomaton:
     """A finite automaton whose symbols apply superoperator channels."""
 
+    kind: ClassVar[str] = "qfa"  # the lane, as a classical machine's field names it
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     channels: Mapping[str, Superoperator]
@@ -192,6 +194,11 @@ class QuantumAutomaton:
             if not report.ok:
                 out.append(f"symbol {sym}: Kraus sum deviates from identity by {report.deviation:.3e}")
         return out
+
+    @cached_property
+    def _block(self) -> tuple[dict[str, Superoperator], np.ndarray, list[int]]:
+        """:func:`_accepting_block` of this machine, built on first use."""
+        return _accepting_block(self)
 
 
 def qfa_final_density(machine: QuantumAutomaton, w: str) -> np.ndarray:
@@ -231,7 +238,8 @@ def _accepting_block(machine: QuantumAutomaton) -> tuple[dict[str, Superoperator
     Returns the restricted channels by symbol, the basis density of the
     initial state restricted to S as a stack of one (all zeros when the
     initial state is outside S), and the positions in S of the accepting
-    states in ``machine.accepting`` order.
+    states in ``machine.accepting`` order. The start density is read-only:
+    a machine keeps its block for every later call.
     """
     n = machine.size
     reads = np.zeros((n, n), dtype=bool)
@@ -251,6 +259,7 @@ def _accepting_block(machine: QuantumAutomaton) -> tuple[dict[str, Superoperator
         kept = tuple(sub for sub in (e[cut] for e in channel.elements) if sub.any())
         channels[sym] = Superoperator(kept or (np.zeros((len(block), len(block))),))
     start = basis_density(n, machine.initial)[cut][None]
+    start.setflags(write=False)
     return channels, start, np.searchsorted(block, list(machine.accepting)).tolist()
 
 
@@ -274,7 +283,7 @@ def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
     channels. A value that is not finite (the channels overflowed inside
     the accepting block) raises ``ValueError`` naming ``w``.
     """
-    channels, rho, accepting = _accepting_block(machine)
+    channels, rho, accepting = machine._block
     for channel in _operators(machine, channels, w):
         rho = apply_channel(channel, rho)
     return _clamped(w, float(_accept_from_density(accepting, rho)[0]))
@@ -305,7 +314,7 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
     keyed by density would only cost memory. A value that is not finite
     raises ``ValueError`` naming its string.
     """
-    channels, start, accepting = _accepting_block(machine)
+    channels, start, accepting = machine._block
     steps = [channels[sym] for sym in machine.alphabet]
     size = start.shape[-1]
     rows = max(1, BLOCK_FLOATS // (size * size or 1))

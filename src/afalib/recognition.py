@@ -81,7 +81,7 @@ def abseq_oracle() -> LanguageOracle:
 
 def dfa_oracle(machine: ClassicalAutomaton) -> LanguageOracle:
     """Membership decided by a deterministic machine (value exactly 1)."""
-    if not isinstance(machine, ClassicalAutomaton) or machine.kind != "dfa":
+    if machine.kind != "dfa":
         raise ValueError("oracle machines must be deterministic")
     if violations := machine.violations():
         raise ValueError(f"oracle machine has {len(violations)} violation(s), first: {violations[0]}")
@@ -114,20 +114,6 @@ def _corpus_size(symbols: int, maxlen: int) -> int:
         if total > SWEEP_CAP or not level:
             break
     return total
-
-
-def _threshold(machine: Machine, cutpoint: Fraction) -> Value:
-    """The cutpoint as :func:`_sign` compares the machine's values with it.
-
-    A quantum machine's float values meet a float cutpoint, converted once
-    here; a cutpoint past float range is an unusable request.
-    """
-    if not isinstance(machine, QuantumAutomaton):
-        return cutpoint
-    try:
-        return float(cutpoint)
-    except OverflowError:
-        raise ValueError("the cutpoint is past float range, and a quantum machine's values are floats") from None
 
 
 def _sign(value: Value, cutpoint: Value, kappa: float) -> int | None:
@@ -185,10 +171,20 @@ class SweepReport:
         return self.min_member_value - self.max_nonmember_value
 
 
-def _machine_values(machine: Machine, maxlen: int) -> Iterator[tuple[str, Value]]:
-    if isinstance(machine, QuantumAutomaton):
-        return qfa_prefix_values(machine, maxlen)
-    return prefix_values(machine, maxlen)
+def _lane(machine: Machine, cutpoint: Fraction, maxlen: int) -> tuple[Iterator[tuple[str, Value]], Value, Callable]:
+    """A machine's values to ``maxlen``, the cutpoint :func:`_sign` meets them with, and their memo key.
+
+    The one lane switch. An exact value is keyed by its integer ratio,
+    which hashes faster than the Fraction; a float by itself, against the
+    cutpoint converted once here (past float range, an unusable request).
+    """
+    if machine.kind != "qfa":
+        return prefix_values(machine, maxlen), cutpoint, Fraction.as_integer_ratio
+    try:
+        threshold = float(cutpoint)
+    except OverflowError:
+        raise ValueError("the cutpoint is past float range, and a quantum machine's values are floats") from None
+    return qfa_prefix_values(machine, maxlen), threshold, float
 
 
 def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOracle, maxlen: int) -> Fraction:
@@ -219,17 +215,15 @@ def _verdicts(
 
     Counting languages reach few distinct values: each (value, member)
     pair is decided once, and its entry in ``memo`` is the same object
-    for every string that reaches the pair. An exact value is keyed by
-    its integer ratio, which hashes faster than the Fraction; a float by
-    itself. The entry keeps the first value, equal to every later one.
+    for every string that reaches the pair, keyed as :func:`_lane` says.
+    The entry keeps the first value, equal to every later one.
     """
-    threshold = _threshold(machine, cutpoint)
+    values, threshold, key_of = _lane(machine, cutpoint, maxlen)
     claims = _CLAIMS[mode]
-    exact = not isinstance(machine, QuantumAutomaton)
-    for w, value in _machine_values(machine, maxlen):
+    for w, value in values:
         # The alphabets match (checked with the request), so no per-letter check.
         member = bool(oracle.membership(w))
-        key = (value.as_integer_ratio() if exact else value, member)
+        key = (key_of(value), member)
         entry = memo.get(key)
         if entry is None:
             sign = _sign(value, threshold, kappa)
@@ -360,12 +354,12 @@ def equivalence_check(
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
-    threshold1, threshold2 = _threshold(m1, Fraction(cutpoint1)), _threshold(m2, Fraction(cutpoint2))
+    values1, threshold1, _ = _lane(m1, Fraction(cutpoint1), maxlen)
     # Enumerating m2 in m1's symbol order lists the same strings in both streams.
-    m2 = replace(m2, alphabet=m1.alphabet)
+    values2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), Fraction(cutpoint2), maxlen)
     violations = []
     indeterminate = []
-    for (w, v1), (_, v2) in zip(_machine_values(m1, maxlen), _machine_values(m2, maxlen)):
+    for (w, v1), (_, v2) in zip(values1, values2):
         s1 = _sign(v1, threshold1, kappa)
         s2 = _sign(v2, threshold2, kappa)
         if s1 is None or s2 is None:

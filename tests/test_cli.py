@@ -224,6 +224,22 @@ def test_a_non_finite_quantum_acceptance_is_an_error(tmp_path, capsys, command):
     assert captured.err.startswith("error: acceptance of 'a' is ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_reads_the_value_a_sweep_reads_and_refuses_a_non_finite_density(tmp_path, capsys):
+    # r reads p and grows by 1e200 a letter; the accepting block {p} reads
+    # only p, so 'aa' has the value 1 while the whole density overflows.
+    qfa = tmp_path / "outside.qfa"
+    element = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1e200]])
+    channels = {"a": Superoperator((element,)), "b": Superoperator.identity(3)}
+    qfa.write_text(dumps_automaton(QuantumAutomaton.build(("p", "q", "r"), ("a", "b"), channels, 0, (0,))))
+    assert main(["run", str(qfa), "--input", "aa"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the density after 'aa' is not finite: the machine's channels are not valid\n"
+    assert main(["sweep", str(qfa), "--cutpoint", "1/2", "--oracle", "eq", "--maxlen", "2"]) == 1
+    assert "\naa\t1.000000000\t0\t0\n" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -445,6 +461,29 @@ def test_construct_checks_input_arity(m1_path):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shift-interior", "{q}", "--from-cutpoint", "1/2", "--to-cutpoint", "1/3"], "cutpoint shifting is defined for affine machines"),
+        (["shift-zero", "{q}", "--to-cutpoint", "1/2"], "cutpoint shifting is defined for affine machines"),
+        (["shift-one", "{q}", "--to-cutpoint", "1/2"], "cutpoint shifting is defined for affine machines"),
+        (["pfa-to-nafa", "{q}"], "the exclusive construction starts from a probabilistic machine"),
+        (["afa-to-nqfa", "{q}"], "the quantum simulation starts from an affine machine"),
+        (["tensor", "{m1}", "{q}"], "tensor products are defined for affine machines"),
+    ],
+    ids=["shift-interior", "shift-zero", "shift-one", "pfa-to-nafa", "afa-to-nqfa", "tensor"],
+)
+def test_construct_refuses_a_quantum_machine_with_its_own_message(tmp_path, m1_path, capsys, argv, message):
+    q = tmp_path / "q.afa"
+    q.write_text(dumps_automaton(afa_to_nqfa(m1_eq())))
+    out = tmp_path / "out.afa"
+    assert main(["construct", *(part.format(q=q, m1=m1_path) for part in argv), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_construct_tensor(tmp_path, m1_path, capsys):
     out = tmp_path / "prod.afa"
     assert main(["construct", "tensor", m1_path, m1_path, "--out", str(out)]) == 0
@@ -638,6 +677,57 @@ def test_construct_counters_rejects_bad_specs(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("validate", "# nothing but a comment\n", ": empty file"),
+        ("validate", "kind afa\nstates\nalphabet a\ninitial p\n", ": header line 'states' needs at least one name"),
+        ("validate", "kind afa\nstates p\nalphabet a\ninitial x\n", ": unknown initial state 'x'"),
+        ("validate", QFA_ONE_SYMBOL.replace("0 1\n", "0 x\n"), ":8: not a float: 'x'"),
+        ("validate", QFA_ONE_SYMBOL.replace("symbol a", "symbol a b"), ":6: 'symbol' needs exactly one name"),
+        ("validate", "kind afa\nstates p\nalphabet a\ninitial p\n\n1\n", ":6: matrix rows before any 'symbol' line"),
+        ("counters", COUNTER.replace("counters 1", "counters one"), ": 'counters' needs one integer"),
+        ("counters", COUNTER.replace("counters 1\n", "counters 1\nscale x\n"), ": 'scale' needs one rational"),
+        (
+            "counters",
+            COUNTER.replace("transition only a only", "transition only a"),
+            ":8: transition lines are 'transition FROM SYMBOL TO'",
+        ),
+        ("counters", COUNTER + "transition only a only\n", ":12: duplicate transition for ('only', 'a')"),
+        ("counters", COUNTER.replace("increment only a 1", "increment only a x"), ":10: increments must be integers"),
+        ("counters", COUNTER + "increment only a 1\n", ":12: duplicate increment for ('only', 'a')"),
+        ("counters", COUNTER + "jump only a\n", ":12: unknown line 'jump'"),
+        ("counters", COUNTER.replace("transition only a only", "transition nowhere a only"), ":8: unknown state 'nowhere'"),
+        ("counters", COUNTER.replace("transition only a only", "transition only c only"), ":8: unknown symbol 'c'"),
+    ],
+    ids=[
+        "empty-file",
+        "no-state-names",
+        "unknown-initial-state",
+        "qfa-entry-not-a-float",
+        "symbol-with-two-names",
+        "rows-before-symbol",
+        "counters-not-an-integer",
+        "scale-not-a-rational",
+        "transition-arity",
+        "duplicate-transition",
+        "increment-not-an-integer",
+        "duplicate-increment",
+        "unknown-line",
+        "unknown-state",
+        "unknown-symbol",
+    ],
+)
+def test_unreadable_files_name_the_file_and_the_fault(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    argv = ["validate", str(path)] if command == "validate" else ["construct", "counters", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}{message}\n"
 
 
 def test_construct_writes_to_stdout_without_out_flag(m1_path, capsys):

@@ -523,3 +523,27 @@ def test_encoder_dispatch():
         encoder("cube", 4)
     with pytest.raises(ValueError):
         count_encoding(-1)
+
+
+# ------------------------------------------------------- machine kinds
+
+
+AFFINE_ONLY = "cutpoint shifting is defined for affine machines"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda q: tensor(q, m1_eq()), "tensor products are defined for affine machines"),
+        (lambda q: tensor(m1_eq(), q), "tensor products are defined for affine machines"),
+        (lambda q: shift_interior(q, Fraction(1, 2), Fraction(1, 3)), AFFINE_ONLY),
+        (lambda q: shift_extreme(q, "zero", Fraction(1, 2)), AFFINE_ONLY),
+        (exclusive_pfa_to_nafa, "the exclusive construction starts from a probabilistic machine"),
+        (afa_to_nqfa, "the quantum simulation starts from an affine machine"),
+        (lambda q: CounterMachineSpec(q, 1, {}), "the controller must be a deterministic machine"),
+    ],
+    ids=["tensor-left", "tensor-right", "shift_interior", "shift_extreme", "exclusive_pfa_to_nafa", "afa_to_nqfa", "counter-controller"],
+)
+def test_a_quantum_machine_gets_the_message_of_a_classical_one_of_the_wrong_kind(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(afa_to_nqfa(m1_eq()))

@@ -1,8 +1,9 @@
 """Tests for superoperator channels and the quantum machine semantics."""
 
 import hashlib
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -271,8 +272,11 @@ def test_qfa_prefix_values_equal_qfa_accept_bit_for_bit(machine, maxlen):
 
 
 # sha256 of one "w value.hex()" line per string, taken before levels were
-# stepped in blocks (the same with 1 and 2 BLAS threads). At these lengths
-# the deepest levels span several blocks.
+# stepped in blocks (the same with 1 and 2 BLAS threads). m1_eq's accepting
+# block is 1x1, so even its deepest level fits in one block of densities;
+# the deepest abs_eq and lapins levels span several, and
+# test_the_accepting_block_reads_the_full_density_bit_for_bit covers
+# levels of several blocks on more machines.
 FLOAT_DIGESTS = [
     (m1_eq, 13, "4df923a7b6f950d8d2aa33830e3c21add4955a501e9817e9498eb1611dbcba65"),
     (abs_eq, 10, "61f112080ea2f5024c8de98b17bae821a57ad5237c89f900112f2e4294150b7b"),
@@ -386,6 +390,33 @@ def test_an_overflow_outside_the_accepting_block_leaves_the_acceptance_finite():
     assert math.isnan(full[0])
     assert qfa_accept(m, "aa") == qfa_accept(m, "aaa") == 1.0
     assert list(qfa_prefix_values(m, 4)) == [("a" * n, 1.0) for n in range(5)]
+
+
+def test_a_machine_builds_its_accepting_block_once(monkeypatch):
+    built = []
+
+    def counting(machine):
+        built.append(machine)
+        return _accepting_block(machine)
+
+    monkeypatch.setattr(quantum, "_accepting_block", counting)
+    machine = afa_to_nqfa(lapins())
+    value = qfa_accept(machine, "abcab")
+    assert qfa_accept(machine, "abcab") == value
+    assert dict(qfa_prefix_values(machine, 5))["abcab"] == value
+    assert len(built) == 1 and built[0] is machine
+    assert not machine._block[1].flags.writeable
+    # A changed copy is a new machine, with a block of its own.
+    copy = replace(machine, alphabet=("c", "b", "a"))
+    assert qfa_accept(copy, "abcab") == value
+    assert len(built) == 2 and built[1] is copy
+
+
+def test_the_quantum_lane_is_a_class_constant():
+    assert QuantumAutomaton.kind == afa_to_nqfa(m1_eq()).kind == "qfa"
+    names = ["states", "alphabet", "channels", "initial", "accepting"]
+    assert [f.name for f in fields(QuantumAutomaton)] == names
+    assert list(inspect.signature(QuantumAutomaton).parameters) == names
 
 
 def test_qfa_prefix_values_stays_lazy():

@@ -1,6 +1,7 @@
 """Tests for oracle sweeps, isolation measurement and machine equivalence."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from afalib.automata import ClassicalAutomaton, dfa_automaton
 from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
 from afalib.exactnum import Mat
+from afalib.quantum import QuantumAutomaton, Superoperator
 from afalib.rand import random_afa, random_qfa
 from afalib.recognition import (
     BUILTIN_ORACLES,
@@ -360,6 +362,16 @@ def test_equivalence_aligns_reordered_alphabets(lane1, lane2):
             assert (got.violations, got.indeterminate) == (want.violations, want.indeterminate)
             violations += len(got.violations)
     assert violations
+
+
+def test_equivalence_flags_float_values_within_kappa_of_their_cutpoint():
+    # Each 'a' turns by pi/4, so an odd count of 'a' has the value 1/2 up to float error.
+    c = math.sqrt(0.5)
+    channels = {"a": Superoperator((np.array([[c, -c], [c, c]]),)), "b": Superoperator.identity(2)}
+    q = QuantumAutomaton.build(("zero", "one"), ("a", "b"), channels, 0, (1,))
+    report = equivalence_check(q, Fraction(1, 2), m1_eq(), Fraction(5, 6), 3)
+    assert report.indeterminate == tuple(w for w in enumerate_strings("ab", 3) if w.count("a") % 2)
+    assert not report.equivalent
 
 
 def test_equivalence_requires_matching_alphabet_sets():
