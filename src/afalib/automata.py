@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import (
@@ -228,14 +228,14 @@ def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tup
     """Yield ``(w, value of w)`` for every ``len(w) <= maxlen``.
 
     States travel in blocks, each holding the states of consecutive
-    strings of one length. ``start`` is the block of the empty string;
-    ``children(block)`` yields the blocks one symbol on, which together
-    hold each state's children in alphabet order; ``readout(block)`` gives
-    one value per state. Strings come out in length order, lexicographic
-    within a length. A level's blocks are made only as the generator
-    reaches them and are read out as they are made; each block is dropped
-    once its children are made, and the deepest level's blocks are not
-    kept.
+    strings of one length, ``len(block)`` strings. ``start`` is the block
+    of the empty string; ``children(block)`` yields the blocks one symbol
+    on, which together hold each state's children in alphabet order;
+    ``readout(block)`` gives one value per string of the block, in order.
+    Strings come out in length order, lexicographic within a length. A
+    level's blocks are made only as the generator reaches them and are
+    read out as they are made; each block is dropped once its children are
+    made, and the deepest level's blocks are not kept.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
@@ -244,9 +244,7 @@ def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tup
         words = map("".join, product(alphabet, repeat=length))
         kept = []
         for block in blocks:
-            # Values first: zip stops on them without drawing a spare word.
-            for value, w in zip(readout(block), words):
-                yield w, value
+            yield from zip(islice(words, len(block)), readout(block))
             if length < maxlen and len(block):
                 kept.append(block)
         if not kept:

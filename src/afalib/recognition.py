@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from functools import reduce
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
-from .automata import ClassicalAutomaton, accept_value, prefix_values
+from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _length_lex, _readout, prefix_values
 from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_prefix_values
 
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
@@ -35,13 +36,42 @@ MODES = tuple(_CLAIMS)
 SWEEP_CAP = 10**6
 
 
+class OracleStepper(NamedTuple):
+    """A deterministic automaton for an oracle's language.
+
+    ``start`` is the state of the empty string, ``step(state, symbol)``
+    the state one symbol on, and ``member(state)`` the membership of
+    every string that reaches ``state``.
+    """
+
+    start: Hashable
+    step: Callable[[Hashable, str], Hashable]
+    member: Callable[[Hashable], bool]
+
+
 @dataclass(frozen=True)
 class LanguageOracle:
-    """Ground-truth membership for a language over a fixed alphabet."""
+    """Ground-truth membership for a language over a fixed alphabet.
+
+    ``membership(w)`` decides one string. The optional ``stepper``
+    decides the same language one symbol at a time, and its contract is:
+
+    - ``step`` is deterministic, and its states are hashable; equal states
+      are interchangeable;
+    - ``member`` of the state that ``step`` reaches from ``start`` over the
+      symbols of ``w``, in order, equals ``membership(w)`` for every ``w``
+      over the alphabet.
+
+    A stepper is what lets :func:`sweep` of a classical machine step
+    (exact state, oracle state) classes instead of strings; that path
+    never calls ``membership``. Quantum machines and oracles without a
+    stepper are swept string by string.
+    """
 
     name: str
     alphabet: tuple[str, ...]
     membership: Callable[[str], bool]
+    stepper: OracleStepper | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -54,38 +84,82 @@ def oracle_eval(oracle: LanguageOracle, w: str) -> bool:
     return bool(oracle.membership(w))
 
 
+def _counting_oracle(name: str, alphabet: str, member: Callable[[tuple[int, ...]], bool]) -> LanguageOracle:
+    """The language of strings whose letter counts, in ``alphabet`` order, satisfy ``member``.
+
+    The stepper's state is the count vector itself.
+    """
+    alphabet = tuple(alphabet)
+    index = {sym: i for i, sym in enumerate(alphabet)}
+
+    def step(counts: tuple[int, ...], sym: str) -> tuple[int, ...]:
+        i = index[sym]
+        return (*counts[:i], counts[i] + 1, *counts[i + 1 :])
+
+    return LanguageOracle(
+        name,
+        alphabet,
+        lambda w: member(tuple(map(w.count, alphabet))),
+        OracleStepper((0,) * len(alphabet), step, member),
+    )
+
+
 def eq_oracle() -> LanguageOracle:
     """Strings over a, b with equally many of each."""
-    return LanguageOracle("eq", ("a", "b"), lambda w: w.count("a") == w.count("b"))
+    return _counting_oracle("eq", "ab", lambda counts: counts[0] == counts[1])
 
 
 def lapins_oracle() -> LanguageOracle:
     """Strings over a, b, c with |w|_a^2 > |w|_b and |w|_b^2 > |w|_c."""
 
-    def member(w: str) -> bool:
-        x, y, z = w.count("a"), w.count("b"), w.count("c")
+    def member(counts: tuple[int, ...]) -> bool:
+        x, y, z = counts
         return x * x > y and y * y > z
 
-    return LanguageOracle("lapins", ("a", "b", "c"), member)
+    return _counting_oracle("lapins", "abc", member)
 
 
 def abseq_oracle() -> LanguageOracle:
     """Strings over a, b with |m-n| + |m-4n| = |m-2n| + |m-3n| for counts m, n."""
 
-    def member(w: str) -> bool:
-        m, n = w.count("a"), w.count("b")
+    def member(counts: tuple[int, ...]) -> bool:
+        m, n = counts
         return abs(m - n) + abs(m - 4 * n) == abs(m - 2 * n) + abs(m - 3 * n)
 
-    return LanguageOracle("abseq", ("a", "b"), member)
+    return _counting_oracle("abseq", "ab", member)
 
 
 def dfa_oracle(machine: ClassicalAutomaton) -> LanguageOracle:
-    """Membership decided by a deterministic machine (value exactly 1)."""
+    """Membership decided by a deterministic machine (value exactly 1).
+
+    The stepper's state is the machine's state index. A valid dfa's
+    matrices are 0/1 with one 1 per column, so each symbol's move sends
+    column ``j`` to the row of that 1; ``membership`` folds the same
+    moves over the string.
+    """
     if machine.kind != "dfa":
         raise ValueError("oracle machines must be deterministic")
     if violations := machine.violations():
         raise ValueError(f"oracle machine has {len(violations)} violation(s), first: {violations[0]}")
-    return LanguageOracle("dfa", machine.alphabet, lambda w: accept_value(machine, w) == 1)
+    moves = {}
+    for sym, mat in machine.transitions.items():
+        target = [0] * machine.size
+        for k, row in enumerate(mat.integer_form()[1]):
+            for j, _ in row:
+                target[j] = k
+        moves[sym] = tuple(target)
+    final, accepting = moves.pop(DOLLAR), machine.accepting
+    start = moves.pop(CENT)[machine.initial]
+
+    def step(state: int, sym: str) -> int:
+        return moves[sym][state]
+
+    def member(state: int) -> bool:
+        return final[state] in accepting
+
+    return LanguageOracle(
+        "dfa", machine.alphabet, lambda w: member(reduce(step, w, start)), OracleStepper(start, step, member)
+    )
 
 
 BUILTIN_ORACLES: dict[str, Callable[[], LanguageOracle]] = {
@@ -211,30 +285,107 @@ def _verdicts(
     kappa: float,
     memo: dict,
 ) -> Iterator[tuple[str, tuple[Value, bool, str]]]:
-    """Yield each string of a checked request with its memo entry ``(value, member, verdict)``.
+    """Each string of a checked request with its memo entry ``(value, member, verdict)``.
 
     Counting languages reach few distinct values: each (value, member)
     pair is decided once, and its entry in ``memo`` is the same object
     for every string that reaches the pair, keyed as :func:`_lane` says.
-    The entry keeps the first value, equal to every later one.
+    The entry keeps the first value, equal to every later one. A
+    classical machine with a stepping oracle is swept by class (see
+    :func:`_class_verdicts`); anything else string by string.
     """
-    values, threshold, key_of = _lane(machine, cutpoint, maxlen)
     claims = _CLAIMS[mode]
+
+    def decide(value: Value, member: bool, threshold: Value, key) -> tuple[Value, bool, str]:
+        sign = _sign(value, threshold, kappa)
+        if sign is None:
+            verdict = "indeterminate"
+        elif claims[sign + 1] == member:
+            verdict = "agree"
+        else:
+            verdict = "disagree"
+        entry = memo[key] = (value, member, verdict)
+        return entry
+
+    if oracle.stepper is not None and machine.kind != "qfa":
+        return _class_verdicts(machine, cutpoint, oracle.stepper, maxlen, memo, decide)
+    return _string_verdicts(machine, cutpoint, oracle.membership, maxlen, memo, decide)
+
+
+def _string_verdicts(machine: Machine, cutpoint: Fraction, membership, maxlen: int, memo: dict, decide) -> Iterator:
+    """:func:`_verdicts` one string at a time: each string's membership is asked from scratch."""
+    values, threshold, key_of = _lane(machine, cutpoint, maxlen)
     for w, value in values:
         # The alphabets match (checked with the request), so no per-letter check.
-        member = bool(oracle.membership(w))
+        member = bool(membership(w))
         key = (key_of(value), member)
         entry = memo.get(key)
         if entry is None:
-            sign = _sign(value, threshold, kappa)
-            if sign is None:
-                verdict = "indeterminate"
-            elif claims[sign + 1] == member:
-                verdict = "agree"
-            else:
-                verdict = "disagree"
-            entry = memo[key] = (value, member, verdict)
+            entry = decide(value, member, threshold, key)
         yield w, entry
+
+
+class _Level:
+    """One length of a class sweep.
+
+    ``classes`` maps each distinct (exact state, oracle state) pair the
+    length reaches to its index, which is its place in the dict's order;
+    ``ids`` lists the class index of every string of the length in order.
+    A plain class: a dataclass takes about a millisecond to build at
+    import, which every command pays.
+    """
+
+    __slots__ = ("classes", "ids")
+
+    def __init__(self, classes: dict, ids: list):
+        self.classes = classes
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _class_verdicts(
+    machine: ClassicalAutomaton, cutpoint: Fraction, stepper: OracleStepper, maxlen: int, memo: dict, decide
+) -> Iterator:
+    """:func:`_verdicts` over classes: the strings of one length that reach one exact state and one oracle state.
+
+    Such strings share their value and membership, so each class is
+    stepped once per symbol, read out once and given its memo entry once;
+    a string costs a list slot holding its class index and one lookup of
+    the entry. Only one length's classes are kept at a time.
+    """
+    table = machine.transitions
+    steps = [(sym, table[sym]) for sym in machine.alphabet]
+    dollar = table[DOLLAR]
+    member_of, step_oracle = stepper.member, stepper.step
+
+    def entry(state, oracle_state) -> tuple[Fraction, bool, str]:
+        value = _readout(machine, dollar.step(state))
+        member = bool(member_of(oracle_state))
+        key = (value.as_integer_ratio(), member)
+        found = memo.get(key)
+        return decide(value, member, cutpoint, key) if found is None else found
+
+    def readout(level: _Level) -> Iterator[tuple[Fraction, bool, str]]:
+        entries = [entry(*c) for c in level.classes]
+        return map(entries.__getitem__, level.ids)
+
+    def children(level: _Level) -> list[_Level]:
+        classes: dict = {}
+        # One list of child class indices per symbol, in the order of the parent classes.
+        columns = [
+            [
+                classes.setdefault((mat.step(state), step_oracle(oracle_state, sym)), len(classes))
+                for state, oracle_state in level.classes
+            ]
+            for sym, mat in steps
+        ]
+        kids = zip(*[map(column.__getitem__, level.ids) for column in columns])
+        return [_Level(classes, list(itertools.chain.from_iterable(kids)))]
+
+    start = _Level({(table[CENT].step(_initial(machine)), stepper.start): 0}, [0])
+    return _length_lex(machine.alphabet, maxlen, start, children, readout)
 
 
 def _extremes(memo: dict) -> tuple[Value | None, Value | None]:

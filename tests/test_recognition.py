@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from afalib.automata import ClassicalAutomaton, dfa_automaton
-from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
+from afalib.cli import render_report
+from afalib.constructions import abs_eq, afa_to_nqfa, compile_blind_counters, lapins, m1_eq, m2_eq
 from afalib.exactnum import Mat
+from afalib.fileformat import loads_counter_spec
 from afalib.quantum import QuantumAutomaton, Superoperator
 from afalib.rand import random_afa, random_qfa
 from afalib.recognition import (
@@ -31,6 +33,31 @@ from afalib.recognition import (
 )
 
 EQ = BUILTIN_ORACLES["eq"]()
+
+# Over ("b", "a"): the strings whose last letter is a.
+ENDS_IN_A = dfa_automaton(
+    states=("other", "a-last"),
+    alphabet=("b", "a"),
+    moves={("other", "a"): "a-last", ("a-last", "a"): "a-last", ("other", "b"): "other", ("a-last", "b"): "other"},
+    initial="other",
+    accepting=("a-last",),
+)
+
+# The README's counter spec: one counter, up on a and down on b.
+BALANCE_SPEC = """\
+kind counters
+states only
+alphabet a b
+initial only
+accepting only
+counters 1
+scale 2
+
+transition only a only
+transition only b only
+increment only a 1
+increment only b -1
+"""
 
 
 def not_eq_oracle() -> LanguageOracle:
@@ -115,6 +142,28 @@ def test_enumerate_strings_is_length_lexicographic():
 def test_enumerate_strings_over_no_letters_stops_after_the_empty_string():
     # No letters make no string longer than 0, so no length past 0 is tried.
     assert list(enumerate_strings((), 10**9)) == [""]
+
+
+@pytest.mark.parametrize(
+    "oracle, maxlen",
+    [
+        (EQ, 10),
+        (BUILTIN_ORACLES["abseq"](), 10),
+        (BUILTIN_ORACLES["lapins"](), 10),
+        (dfa_oracle(ENDS_IN_A), 10),
+    ],
+    ids=["eq", "abseq", "lapins", "dfa-ends-in-a"],
+)
+def test_folding_the_stepper_gives_the_membership(oracle, maxlen):
+    # Each string's state is its prefix's state stepped by its last
+    # symbol: a fold of the stepper from its start state.
+    stepper = oracle.stepper
+    states = {"": stepper.start}
+    for w in enumerate_strings(oracle.alphabet, maxlen):
+        if w:
+            states[w] = stepper.step(states[w[:-1]], w[-1])
+        assert stepper.member(states[w]) == bool(oracle.membership(w)), w
+    assert len(states) == sum(len(oracle.alphabet) ** n for n in range(maxlen + 1))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -283,6 +332,55 @@ def test_isolation_gap_vanishes_on_a_touching_cutpoint():
 def test_isolation_gap_off_center_cutpoint():
     report = isolation_gap(m1_eq(), Fraction(3, 4), EQ, 6)
     assert report.gap == 2 * (Fraction(3, 4) - Fraction(2, 3))
+
+
+def _string_path(oracle: LanguageOracle) -> LanguageOracle:
+    # Without a stepper, a sweep asks the oracle one string at a time.
+    return replace(oracle, stepper=None)
+
+
+def _report_lines(report: SweepReport) -> list[str]:
+    # Lines, not one string: a failure names the first differing row
+    # instead of diffing two long texts.
+    return render_report(report).splitlines()
+
+
+CLASS_CASES = [
+    (m1_eq(), "eq", 10),
+    (m2_eq(3), "eq", 10),
+    (abs_eq(), "abseq", 9),
+    (lapins(), "lapins", 5),
+    (compile_blind_counters(loads_counter_spec(BALANCE_SPEC)), "eq", 10),
+]
+
+
+@pytest.mark.parametrize("machine, oracle, maxlen", CLASS_CASES, ids=["m1_eq", "m2_eq(3)", "abs_eq", "lapins", "balance"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("cutpoint", [Fraction(0), Fraction(1, 2), Fraction(5, 6)], ids=str)
+def test_class_sweeps_report_what_string_sweeps_report(machine, oracle, maxlen, mode, cutpoint):
+    oracle = BUILTIN_ORACLES[oracle]()
+    by_class = _report_lines(sweep(machine, cutpoint, mode, oracle, maxlen))
+    assert by_class == _report_lines(sweep(machine, cutpoint, mode, _string_path(oracle), maxlen))
+
+
+def test_a_class_sweep_never_asks_the_membership():
+    def refuse(w):
+        raise AssertionError(f"membership asked for {w!r}")
+
+    oracle = replace(EQ, membership=refuse)
+    report = sweep(m1_eq(), Fraction(5, 6), "cutpoint", oracle, 10)
+    assert report.ok and len(report.records) == 2047
+    assert (report.min_member_value, report.max_nonmember_value) == (1, Fraction(2, 3))
+    assert _report_lines(report) == _report_lines(sweep(m1_eq(), Fraction(5, 6), "cutpoint", _string_path(EQ), 10))
+
+
+def test_a_class_sweep_steps_the_oracle_by_symbol_not_by_position():
+    # The oracle lists b before a, the machine a before b.
+    oracle = dfa_oracle(ENDS_IN_A)
+    assert oracle.alphabet != m1_eq().alphabet
+    report = sweep(m1_eq(), Fraction(5, 6), "cutpoint", oracle, 10)
+    assert [r.member for r in report.records] == [w.endswith("a") for w in enumerate_strings("ab", 10)]
+    assert _report_lines(report) == _report_lines(sweep(m1_eq(), Fraction(5, 6), "cutpoint", _string_path(oracle), 10))
 
 
 @pytest.mark.parametrize(
