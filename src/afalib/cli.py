@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from .automata import _final, _readout, accept_value_normalized
 from .exactnum import RationalParseError, parse_rational, render_rational, state_vector
 from .fileformat import dumps_automaton, load_automaton, load_counter_spec
 from .quantum import DEFAULT_KAPPA, qfa_accept, qfa_final_density
-from .recognition import BUILTIN_ORACLES, SweepReport, _checked_cutpoint, _extremes, _verdicts, dfa_oracle
+from .recognition import BUILTIN_ORACLES, SweepReport, _checked_cutpoint, _extremes, _verdict_blocks, dfa_oracle
 
 USAGE_ERROR = 2
 CLAIM_FAILED = 1
@@ -147,35 +149,54 @@ def render_report(report: SweepReport) -> str:
     return "".join(rows)
 
 
+#: The most report rows ``afa sweep`` joins into one string before writing it.
+_ROWS_PER_WRITE = 1 << 12
+
+
 def cmd_sweep(args) -> int:
     machine = load_automaton(args.path)
     oracle = _resolve_oracle(args.oracle)
     mode, maxlen, kappa = args.mode, args.maxlen, args.kappa
     cutpoint = _checked_cutpoint(machine, args.cutpoint, mode, oracle, maxlen)
     memo: dict = {}
-    # The report of render_report(sweep(...)), without a record per string:
-    # each distinct memo entry's row tail is rendered once, keyed by the
-    # entry's id, which the memo keeps alive. The text is buffered in one
-    # StringIO, far smaller than a list of row strings, and written once,
-    # at the end, so a sweep that fails part-way writes nothing.
+    # The report of render_report(sweep(...)), without a record per string.
+    # Each distinct memo entry's row tail is rendered once, keyed by the
+    # entry's id, which the memo keeps alive; a block's rows are joined at
+    # C level from its strings and its entries' tails, a bounded chunk at a
+    # time. The text is buffered in one StringIO, far smaller than a list
+    # of row strings, and written once, at the end, so a sweep that fails
+    # part-way writes nothing.
     tails: dict[int, str] = {}
+
+    def tail(entry) -> str:
+        found = tails.get(id(entry))
+        if found is None:
+            found = tails[id(entry)] = _row_tail(*entry, kappa)
+        return found
+
     text = io.StringIO()
     write = text.write
     write(_REPORT_HEADER)
     strings = 0
     counterexamples, indeterminate = [], []
-    for w, entry in _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa, memo):
-        tail = tails.get(id(entry))
-        if tail is None:
-            tail = tails[id(entry)] = _row_tail(*entry, kappa)
-        write(w)
-        write(tail)
-        strings += 1
-        verdict = entry[2]
-        if verdict == "disagree":
-            counterexamples.append(w)
-        elif verdict == "indeterminate":
-            indeterminate.append(w)
+    for words, entries, ids in _verdict_blocks(machine, cutpoint, mode, oracle, maxlen, kappa, memo):
+        block_tails = [tail(entry) for entry in entries]
+        # The indices of the block's entries that do not agree, with their list of strings.
+        odd = {
+            i: counterexamples if verdict == "disagree" else indeterminate
+            for i, (_, _, verdict) in enumerate(entries)
+            if verdict != "agree"
+        }
+        words = iter(words)
+        for start in range(0, len(ids), _ROWS_PER_WRITE):
+            part = ids[start : start + _ROWS_PER_WRITE]
+            chunk = list(itertools.islice(words, len(part)))
+            write("".join(map(operator.add, chunk, map(block_tails.__getitem__, part))))
+            if odd:
+                for w, i in zip(chunk, part):
+                    if i in odd:
+                        odd[i].append(w)
+        strings += len(ids)
     # The rows are rendered already: the report holds only the aggregates.
     low, high = _extremes(memo)
     report = SweepReport(mode, cutpoint, maxlen, kappa, (), tuple(counterexamples), tuple(indeterminate), low, high)

@@ -40,7 +40,7 @@ import math
 import os
 from fractions import Fraction
 from functools import partial
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .automata import KINDS, RESERVED_SYMBOLS, ClassicalAutomaton, CounterMachineSpec, dfa_automaton
 from .exactnum import Mat, parse_rational, render_rational
@@ -149,7 +149,7 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
     kind = header["kind"][0]
     if kind not in _MACHINES:
         raise FormatError(f"{path_hint}: unknown machine kind {kind!r}")
-    parse, build = _MACHINES[kind]
+    parse, convert, build = _MACHINES[kind]
     states, initial, accepting = _state_indices(header, path_hint)
     alphabet = tuple(header["alphabet"])
     n = len(states)
@@ -170,9 +170,10 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
             current.append((lineno, tokens))
 
     table = {}
+    entry = _Entries(convert).__getitem__
     for sym, rows in sections.items():
         try:
-            table[sym] = parse(rows, n, path_hint)
+            table[sym] = parse(rows, n, path_hint, entry)
         except FormatError:
             raise
         except ValueError as exc:
@@ -183,11 +184,28 @@ def loads_automaton(text: str, path_hint: str = "<string>") -> Machine:
         raise FormatError(f"{path_hint}: {exc}") from None
 
 
-def _parse_matrix(body, n, path_hint) -> Mat:
-    return Mat([_row(tokens, n, lineno, path_hint, parse_rational) for lineno, tokens in body])
+class _Entries(dict):
+    """The entry tokens of one file, each converted by ``convert`` on first sight.
+
+    Machine files repeat a few tokens (``0``, ``1``, ``1/2``) many times;
+    the values are immutable, so equal tokens share one. A token seen
+    before costs one dict lookup, which a dict subclass makes at C level.
+    """
+
+    def __init__(self, convert: Callable[[str], object]):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token: str):
+        value = self[token] = self.convert(token)
+        return value
 
 
-def _parse_channel(body, n, path_hint) -> Superoperator:
+def _parse_matrix(body, n, path_hint, entry) -> Mat:
+    return Mat([_row(tokens, n, lineno, path_hint, entry) for lineno, tokens in body])
+
+
+def _parse_channel(body, n, path_hint, entry) -> Superoperator:
     elements: list[list[list[float]]] = []
     for lineno, tokens in body:
         if tokens == ["element"]:
@@ -195,15 +213,16 @@ def _parse_channel(body, n, path_hint) -> Superoperator:
         elif not elements:
             raise FormatError(f"{path_hint}:{lineno}: matrix rows before any 'element' line")
         else:
-            elements[-1].append(_row(tokens, n, lineno, path_hint, _float_entry))
+            elements[-1].append(_row(tokens, n, lineno, path_hint, entry))
     return Superoperator(tuple(elements))
 
 
 #: For each value of the ``kind`` header line: the parser of one symbol's
-#: section and the builder of the machine from the parsed sections.
+#: section, the reader of one entry token, and the builder of the machine
+#: from the parsed sections.
 _MACHINES = {
-    "qfa": (_parse_channel, QuantumAutomaton.build),
-    **{kind: (_parse_matrix, partial(ClassicalAutomaton.build, kind)) for kind in KINDS},
+    "qfa": (_parse_channel, _float_entry, QuantumAutomaton.build),
+    **{kind: (_parse_matrix, parse_rational, partial(ClassicalAutomaton.build, kind)) for kind in KINDS},
 }
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
-from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _length_lex, _readout, prefix_values
+from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _readout, prefix_values
 from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_prefix_values
 
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
@@ -269,6 +269,8 @@ def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOra
         raise ValueError(
             f"alphabet mismatch: machine {machine.alphabet} vs oracle {oracle.alphabet}"
         )
+    if maxlen < 0:
+        raise ValueError("maxlen must be nonnegative")
     if _corpus_size(len(machine.alphabet), maxlen) > SWEEP_CAP:
         raise ValueError(
             f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
@@ -276,7 +278,14 @@ def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOra
     return Fraction(0) if mode == "nondet" else Fraction(cutpoint)
 
 
-def _verdicts(
+#: The most strings in one block of a string-by-string sweep.
+_BLOCK_STRINGS = 4096
+
+#: A block of consecutive strings of a sweep: ``(words, entries, ids)``.
+_Block = tuple[Iterable[str], list, list]
+
+
+def _verdict_blocks(
     machine: Machine,
     cutpoint: Fraction,
     mode: str,
@@ -284,15 +293,23 @@ def _verdicts(
     maxlen: int,
     kappa: float,
     memo: dict,
-) -> Iterator[tuple[str, tuple[Value, bool, str]]]:
-    """Each string of a checked request with its memo entry ``(value, member, verdict)``.
+) -> Iterator[_Block]:
+    """The verdicts of a checked request, in blocks of consecutive strings.
+
+    A block ``(words, entries, ids)`` holds ``len(ids)`` strings:
+    ``words`` iterates over them once, in order; ``entries`` lists memo
+    entries ``(value, member, verdict)``; and ``ids[k]`` is the index in
+    ``entries`` of the ``k``-th string's entry. Blocks come in
+    length-lexicographic order, so a consumer can render and tally each
+    distinct entry once per block instead of once per string.
 
     Counting languages reach few distinct values: each (value, member)
     pair is decided once, and its entry in ``memo`` is the same object
     for every string that reaches the pair, keyed as :func:`_lane` says.
     The entry keeps the first value, equal to every later one. A
-    classical machine with a stepping oracle is swept by class (see
-    :func:`_class_verdicts`); anything else string by string.
+    classical machine with a stepping oracle is swept by class, a block
+    per length (see :func:`_class_blocks`); anything else string by
+    string, in blocks of at most :data:`_BLOCK_STRINGS`.
     """
     claims = _CLAIMS[mode]
 
@@ -308,55 +325,50 @@ def _verdicts(
         return entry
 
     if oracle.stepper is not None and machine.kind != "qfa":
-        return _class_verdicts(machine, cutpoint, oracle.stepper, maxlen, memo, decide)
-    return _string_verdicts(machine, cutpoint, oracle.membership, maxlen, memo, decide)
+        return _class_blocks(machine, cutpoint, oracle.stepper, maxlen, memo, decide)
+    return _string_blocks(machine, cutpoint, oracle.membership, maxlen, memo, decide)
 
 
-def _string_verdicts(machine: Machine, cutpoint: Fraction, membership, maxlen: int, memo: dict, decide) -> Iterator:
-    """:func:`_verdicts` one string at a time: each string's membership is asked from scratch."""
-    values, threshold, key_of = _lane(machine, cutpoint, maxlen)
-    for w, value in values:
-        # The alphabets match (checked with the request), so no per-letter check.
-        member = bool(membership(w))
-        key = (key_of(value), member)
-        entry = memo.get(key)
-        if entry is None:
-            entry = decide(value, member, threshold, key)
-        yield w, entry
+def _string_blocks(
+    machine: Machine, cutpoint: Fraction, membership, maxlen: int, memo: dict, decide
+) -> Iterator[_Block]:
+    """:func:`_verdict_blocks` one string at a time: each string's membership is asked from scratch.
 
-
-class _Level:
-    """One length of a class sweep.
-
-    ``classes`` maps each distinct (exact state, oracle state) pair the
-    length reaches to its index, which is its place in the dict's order;
-    ``ids`` lists the class index of every string of the length in order.
-    A plain class: a dataclass takes about a millisecond to build at
-    import, which every command pays.
+    A block numbers the distinct memo keys among its strings.
     """
+    values, threshold, key_of = _lane(machine, cutpoint, maxlen)
+    while True:
+        words, entries, ids, index = [], [], [], {}
+        for w, value in itertools.islice(values, _BLOCK_STRINGS):
+            # The alphabets match (checked with the request), so no per-letter check.
+            member = bool(membership(w))
+            key = (key_of(value), member)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(entries)
+                entry = memo.get(key)
+                entries.append(decide(value, member, threshold, key) if entry is None else entry)
+            words.append(w)
+            ids.append(i)
+        if not words:
+            return
+        yield words, entries, ids
 
-    __slots__ = ("classes", "ids")
 
-    def __init__(self, classes: dict, ids: list):
-        self.classes = classes
-        self.ids = ids
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _class_verdicts(
+def _class_blocks(
     machine: ClassicalAutomaton, cutpoint: Fraction, stepper: OracleStepper, maxlen: int, memo: dict, decide
-) -> Iterator:
-    """:func:`_verdicts` over classes: the strings of one length that reach one exact state and one oracle state.
+) -> Iterator[_Block]:
+    """:func:`_verdict_blocks` over classes: the strings of one length that reach one exact state and one oracle state.
 
     Such strings share their value and membership, so each class is
-    stepped once per symbol, read out once and given its memo entry once;
-    a string costs a list slot holding its class index and one lookup of
-    the entry. Only one length's classes are kept at a time.
+    stepped once per symbol, read out once and given its memo entry once.
+    A length is one block: ``entries`` holds one entry per class and
+    ``ids`` each string's class index, so a string costs a list slot.
+    Only one length's classes are kept at a time.
     """
     table = machine.transitions
-    steps = [(sym, table[sym]) for sym in machine.alphabet]
+    alphabet = machine.alphabet
+    steps = [(sym, table[sym]) for sym in alphabet]
     dollar = table[DOLLAR]
     member_of, step_oracle = stepper.member, stepper.step
 
@@ -367,25 +379,28 @@ def _class_verdicts(
         found = memo.get(key)
         return decide(value, member, cutpoint, key) if found is None else found
 
-    def readout(level: _Level) -> Iterator[tuple[Fraction, bool, str]]:
-        entries = [entry(*c) for c in level.classes]
-        return map(entries.__getitem__, level.ids)
-
-    def children(level: _Level) -> list[_Level]:
-        classes: dict = {}
+    def children(classes: dict, ids: list) -> tuple[dict, list]:
+        kids: dict = {}
         # One list of child class indices per symbol, in the order of the parent classes.
         columns = [
             [
-                classes.setdefault((mat.step(state), step_oracle(oracle_state, sym)), len(classes))
-                for state, oracle_state in level.classes
+                kids.setdefault((mat.step(state), step_oracle(oracle_state, sym)), len(kids))
+                for state, oracle_state in classes
             ]
             for sym, mat in steps
         ]
-        kids = zip(*[map(column.__getitem__, level.ids) for column in columns])
-        return [_Level(classes, list(itertools.chain.from_iterable(kids)))]
+        in_order = zip(*[map(column.__getitem__, ids) for column in columns])
+        return kids, list(itertools.chain.from_iterable(in_order))
 
-    start = _Level({(table[CENT].step(_initial(machine)), stepper.start): 0}, [0])
-    return _length_lex(machine.alphabet, maxlen, start, children, readout)
+    # Each class of a length maps to its index, which is its place in the dict's order.
+    classes = {(table[CENT].step(_initial(machine)), stepper.start): 0}
+    ids = [0]
+    for length in range(maxlen + 1):
+        if length:
+            classes, ids = children(classes, ids)
+            if not ids:  # no symbols: no string is longer than 0
+                return
+        yield map("".join, itertools.product(alphabet, repeat=length)), [entry(*c) for c in classes], ids
 
 
 def _extremes(memo: dict) -> tuple[Value | None, Value | None]:
@@ -418,9 +433,8 @@ def sweep(
     """
     cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
     memo: dict = {}
-    records = tuple(
-        StringRecord(w, *entry) for w, entry in _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa, memo)
-    )
+    blocks = _verdict_blocks(machine, cutpoint, mode, oracle, maxlen, kappa, memo)
+    records = tuple(StringRecord(w, *entries[i]) for words, entries, ids in blocks for w, i in zip(words, ids))
     low, high = _extremes(memo)
     return SweepReport(
         mode,
@@ -466,7 +480,8 @@ def isolation_gap(
     """
     cutpoint = _checked_cutpoint(machine, cutpoint, "isolation", oracle, maxlen)
     memo: dict = {}
-    for _ in _verdicts(machine, cutpoint, "isolation", oracle, maxlen, kappa, memo):
+    # The blocks fill the memo as they come; their strings are not needed.
+    for _ in _verdict_blocks(machine, cutpoint, "isolation", oracle, maxlen, kappa, memo):
         pass
     low, high = _extremes(memo)
     gap = None

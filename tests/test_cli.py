@@ -6,18 +6,20 @@ user sees: exit codes, stdout text and stderr diagnostics.
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from afalib import rand
+from afalib import cli, quantum, rand, recognition
+from afalib.automata import dfa_automaton
 from afalib.cli import main, render_report
 from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
 from afalib.exactnum import parse_rational
-from afalib.fileformat import dumps_automaton, load_automaton, loads_counter_spec
+from afalib.fileformat import dumps_automaton, load_automaton, loads_counter_spec, save_automaton
 from afalib.quantum import QuantumAutomaton, Superoperator
-from afalib.recognition import BUILTIN_ORACLES, sweep
+from afalib.recognition import BUILTIN_ORACLES, dfa_oracle, sweep
 
 BAD_COLUMN = """\
 kind afa
@@ -296,17 +298,34 @@ def test_sweep_reports_match_their_golden_digests(build, cutpoint, mode, oracle,
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
 
 
-# The golden sweeps, an exact sweep with counterexamples, and a quantum
-# sweep with counterexamples and indeterminate strings.
+# Over ("b", "a"), the reverse of m1_eq's order: the strings whose last letter is a.
+ENDS_IN_A = dfa_automaton(
+    states=("other", "a-last"),
+    alphabet=("b", "a"),
+    moves={("other", "a"): "a-last", ("a-last", "a"): "a-last", ("other", "b"): "other", ("a-last", "b"): "other"},
+    initial="other",
+    accepting=("a-last",),
+)
+
+# The golden sweeps; exact sweeps with counterexamples at several lengths,
+# against a builtin oracle and against a dfa oracle file; and quantum
+# sweeps with counterexamples and indeterminate strings. The last field
+# asks for small blocks: a quantum level stepped a density at a time,
+# string-path blocks of 7 strings and report rows written 5 at a time, so
+# that block and write boundaries fall inside lengths and between
+# counterexamples.
 CLI_SWEEPS = [
-    *GOLDEN_REPORTS,
-    (m1_eq, "1/2", "cutpoint", "eq", 8, None),
-    (lambda: afa_to_nqfa(lapins()), "0", "nondet", "lapins", 5, None),
+    *((*case, False) for case in GOLDEN_REPORTS),
+    (m1_eq, "1/2", "cutpoint", "eq", 8, None, False),
+    (m1_eq, "5/6", "cutpoint", ENDS_IN_A, 8, None, True),
+    (lapins, "2/3", "cutpoint", "lapins", 6, None, False),
+    (lambda: afa_to_nqfa(lapins()), "0", "nondet", "lapins", 5, None, False),
+    (lambda: afa_to_nqfa(lapins()), "0", "nondet", "lapins", 5, None, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, cutpoint, mode, oracle, maxlen, digest",
+    "build, cutpoint, mode, oracle, maxlen, digest, small_blocks",
     CLI_SWEEPS,
     ids=[
         "m1_eq",
@@ -317,19 +336,35 @@ CLI_SWEEPS = [
         "m1_eq-nondet",
         "afa_to_nqfa(abs_eq)-nondet",
         "m1_eq-counterexamples",
+        "m1_eq-ends-in-a-dfa-small-blocks",
+        "lapins-counterexamples",
         "afa_to_nqfa(lapins)-nondet",
+        "afa_to_nqfa(lapins)-nondet-small-blocks",
     ],
 )
-def test_sweep_command_writes_the_library_report(tmp_path, capsys, build, cutpoint, mode, oracle, maxlen, digest):
+def test_sweep_command_writes_the_library_report(
+    tmp_path, capsys, monkeypatch, build, cutpoint, mode, oracle, maxlen, digest, small_blocks
+):
     machine = build()
     path = tmp_path / "m.afa"
     path.write_text(dumps_automaton(machine))
-    report = sweep(machine, Fraction(cutpoint), mode, BUILTIN_ORACLES[oracle](), maxlen)
+    if isinstance(oracle, str):
+        spec, language = oracle, BUILTIN_ORACLES[oracle]()
+    else:
+        spec = str(tmp_path / "oracle.dfa")
+        save_automaton(oracle, spec)
+        language = dfa_oracle(oracle)
+    report = sweep(machine, Fraction(cutpoint), mode, language, maxlen)
     if digest is None:
-        assert report.counterexamples
+        assert len({len(w) for w in report.counterexamples}) > 1
         assert report.indeterminate or not isinstance(machine, QuantumAutomaton)
     expected = render_report(report).encode()
-    argv = ["sweep", str(path), "--cutpoint", cutpoint, "--mode", mode, "--oracle", oracle]
+    if small_blocks:
+        monkeypatch.setattr(quantum, "BLOCK_FLOATS", 64)
+        monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 5)
+        assert render_report(sweep(machine, Fraction(cutpoint), mode, language, maxlen)).encode() == expected
+    argv = ["sweep", str(path), "--cutpoint", cutpoint, "--mode", mode, "--oracle", spec]
     argv += ["--maxlen", str(maxlen)]
     out = tmp_path / "report.tsv"
     code = 0 if report.ok else 1
@@ -340,6 +375,25 @@ def test_sweep_command_writes_the_library_report(tmp_path, capsys, build, cutpoi
     assert capsys.readouterr().out.encode() == expected
     if digest is not None:
         assert hashlib.sha256(expected).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lane", ["class", "string", "quantum"])
+def test_sweep_with_a_negative_maxlen_is_a_usage_error(tmp_path, m1_path, capsys, monkeypatch, lane):
+    path = m1_path
+    if lane == "string":
+        # No stepper: the classical machine is swept string by string.
+        eq = BUILTIN_ORACLES["eq"]
+        monkeypatch.setitem(BUILTIN_ORACLES, "eq", lambda: replace(eq(), stepper=None))
+    elif lane == "quantum":
+        path = str(tmp_path / "m1q.afa")
+        save_automaton(afa_to_nqfa(m1_eq()), path)
+    out = tmp_path / "report.tsv"
+    argv = ["sweep", path, "--cutpoint", "1/2", "--oracle", "eq", "--maxlen", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: maxlen must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_sweep_oracle_can_be_a_dfa_file(tmp_path, capsys):

@@ -170,6 +170,21 @@ def test_malformed_machines_raise_format_errors(mangle):
         loads_automaton(mangle(MINIMAL), "m.afa")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (MINIMAL.replace("alphabet a", "alphabet a b") + "\nsymbol b\n2 0\n-1 1/0\n", 13),
+        (MINIMAL.replace("kind afa", "kind qfa").replace("2 0\n-1 1\n", "element\n0 1\n1 0\nelement\n0 1\n1 inf\n"), 13),
+    ],
+    ids=["rational", "float"],
+)
+def test_a_bad_entry_after_good_ones_names_its_own_line(text, line):
+    # Each distinct entry token is read once per file: the good tokens
+    # before the bad one are already known when its line is read.
+    with pytest.raises(FormatError, match=f"^m.afa:{line}: "):
+        loads_automaton(text, "m.afa")
+
+
 QFA_MINIMAL = MINIMAL.replace("kind afa", "kind qfa").replace("2 0\n-1 1\n", "element\n0 1\n1 0\n")
 
 

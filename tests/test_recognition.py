@@ -288,12 +288,37 @@ def test_sweep_refuses_corpora_above_the_cap_before_evaluating():
     assert SWEEP_CAP == 10**6
 
 
+def _untouchable(oracle: LanguageOracle) -> LanguageOracle:
+    # The same language, but asking a membership or stepping a state fails.
+    def refuse(*args):
+        raise AssertionError("no string may be evaluated")
+
+    stepper = oracle.stepper and oracle.stepper._replace(step=refuse, member=refuse)
+    return replace(oracle, membership=refuse, stepper=stepper)
+
+
+@pytest.mark.parametrize(
+    "machine, oracle",
+    [(m1_eq(), EQ), (m1_eq(), replace(EQ, stepper=None)), (afa_to_nqfa(m1_eq()), EQ)],
+    ids=["class", "string", "quantum"],
+)
+def test_a_negative_maxlen_is_refused_before_any_evaluation(machine, oracle):
+    oracle = _untouchable(oracle)
+    with pytest.raises(ValueError, match="maxlen must be nonnegative"):
+        sweep(machine, Fraction(1, 2), "cutpoint", oracle, -1)
+    with pytest.raises(ValueError, match="maxlen must be nonnegative"):
+        isolation_gap(machine, Fraction(1, 2), oracle, -1)
+
+
 def test_sweep_cap_leaves_smaller_corpora_alone():
     unary = ClassicalAutomaton.build("dfa", ("p",), ("a",), {"a": Mat.identity(1)}, 0, (0,))
     report = sweep(unary, Fraction(1, 2), "cutpoint", LanguageOracle("all", ("a",), lambda w: True), 5)
     assert len(report.records) == 6 and report.ok
     empty = ClassicalAutomaton.build("dfa", ("p",), (), {}, 0, (0,))
     report = sweep(empty, Fraction(1, 2), "cutpoint", LanguageOracle("all", (), lambda w: True), 10**9)
+    assert [r.string for r in report.records] == [""]
+    # A class sweep over no symbols stops after the empty string too.
+    report = sweep(empty, Fraction(1, 2), "cutpoint", dfa_oracle(empty), 10**9)
     assert [r.string for r in report.records] == [""]
 
 
