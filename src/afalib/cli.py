@@ -11,7 +11,6 @@ text and are byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import math
 import operator
@@ -23,7 +22,7 @@ from .automata import _final, _readout, accept_value_normalized
 from .exactnum import RationalParseError, parse_rational, render_rational, state_vector
 from .fileformat import dumps_automaton, load_automaton, load_counter_spec
 from .quantum import DEFAULT_KAPPA, qfa_accept, qfa_final_density
-from .recognition import BUILTIN_ORACLES, SweepReport, _checked_cutpoint, _extremes, _verdict_blocks, dfa_oracle
+from .recognition import BUILTIN_ORACLES, SweepReport, _extremes, _verdicts, dfa_oracle
 
 USAGE_ERROR = 2
 CLAIM_FAILED = 1
@@ -157,51 +156,39 @@ def cmd_sweep(args) -> int:
     machine = load_automaton(args.path)
     oracle = _resolve_oracle(args.oracle)
     mode, maxlen, kappa = args.mode, args.maxlen, args.kappa
-    cutpoint = _checked_cutpoint(machine, args.cutpoint, mode, oracle, maxlen)
-    memo: dict = {}
+    cutpoint, entries, blocks = _verdicts(machine, args.cutpoint, mode, oracle, maxlen, kappa)
     # The report of render_report(sweep(...)), without a record per string.
-    # Each distinct memo entry's row tail is rendered once, keyed by the
-    # entry's id, which the memo keeps alive; a block's rows are joined at
-    # C level from its strings and its entries' tails, a bounded chunk at a
-    # time. The text is buffered in one StringIO, far smaller than a list
-    # of row strings, and written once, at the end, so a sweep that fails
-    # part-way writes nothing.
-    tails: dict[int, str] = {}
-
-    def tail(entry) -> str:
-        found = tails.get(id(entry))
-        if found is None:
-            found = tails[id(entry)] = _row_tail(*entry, kappa)
-        return found
-
-    text = io.StringIO()
-    write = text.write
-    write(_REPORT_HEADER)
-    strings = 0
+    # tails[i] is the row tail of entries[i], rendered once, before the
+    # first block that uses it; a block's rows are joined at C level from
+    # its strings and their tails, a bounded chunk at a time. The chunks are
+    # kept and written at the end, so a sweep that fails part-way writes
+    # nothing.
+    tails: list[str] = []
+    # The numbers of the entries that do not agree, with their list of strings.
+    odd: dict[int, list] = {}
     counterexamples, indeterminate = [], []
-    for words, entries, ids in _verdict_blocks(machine, cutpoint, mode, oracle, maxlen, kappa, memo):
-        block_tails = [tail(entry) for entry in entries]
-        # The indices of the block's entries that do not agree, with their list of strings.
-        odd = {
-            i: counterexamples if verdict == "disagree" else indeterminate
-            for i, (_, _, verdict) in enumerate(entries)
-            if verdict != "agree"
-        }
+    parts = [_REPORT_HEADER]
+    strings = 0
+    for words, ids in blocks:
+        for i, (value, member, verdict) in enumerate(entries[len(tails) :], len(tails)):
+            tails.append(_row_tail(value, member, verdict, kappa))
+            if verdict != "agree":
+                odd[i] = counterexamples if verdict == "disagree" else indeterminate
         words = iter(words)
         for start in range(0, len(ids), _ROWS_PER_WRITE):
             part = ids[start : start + _ROWS_PER_WRITE]
             chunk = list(itertools.islice(words, len(part)))
-            write("".join(map(operator.add, chunk, map(block_tails.__getitem__, part))))
-            if odd:
+            parts.append("".join(map(operator.add, chunk, map(tails.__getitem__, part))))
+            if odd and not odd.keys().isdisjoint(part):
                 for w, i in zip(chunk, part):
                     if i in odd:
                         odd[i].append(w)
         strings += len(ids)
     # The rows are rendered already: the report holds only the aggregates.
-    low, high = _extremes(memo)
+    low, high = _extremes(entries)
     report = SweepReport(mode, cutpoint, maxlen, kappa, (), tuple(counterexamples), tuple(indeterminate), low, high)
-    write(_render_aggregates(report, strings))
-    _write(text.getvalue(), args.out)
+    parts.append(_render_aggregates(report, strings))
+    _write(parts, args.out)
     return 0 if report.ok else CLAIM_FAILED
 
 
@@ -228,7 +215,7 @@ def cmd_construct(args) -> int:
     for flag, value in zip(flags, values):
         if value is None:
             raise ValueError(f"{kind} needs --{flag.replace('_', '-')}")
-    _write(dumps_automaton(build(*map(load, args.inputs), *values)), args.out)
+    _write([dumps_automaton(build(*map(load, args.inputs), *values))], args.out)
     return 0
 
 
@@ -240,16 +227,16 @@ def cmd_zoo(args) -> int:
         params["x"] = args.x
     elif args.x is not None:
         raise ValueError(f"--x applies to m2_eq only, not {args.name}")
-    _write(dumps_automaton(constructions.zoo(args.name, **params)), args.out)
+    _write([dumps_automaton(constructions.zoo(args.name, **params))], args.out)
     return 0
 
 
-def _write(text: str, out) -> None:
+def _write(texts: list[str], out) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def build_parser() -> argparse.ArgumentParser:

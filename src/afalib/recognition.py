@@ -246,7 +246,7 @@ class SweepReport:
 
 
 def _lane(machine: Machine, cutpoint: Fraction, maxlen: int) -> tuple[Iterator[tuple[str, Value]], Value, Callable]:
-    """A machine's values to ``maxlen``, the cutpoint :func:`_sign` meets them with, and their memo key.
+    """A machine's values to ``maxlen``, the cutpoint :func:`_sign` meets them with, and their key.
 
     The one lane switch. An exact value is keyed by its integer ratio,
     which hashes faster than the Fraction; a float by itself, against the
@@ -281,39 +281,39 @@ def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOra
 #: The most strings in one block of a string-by-string sweep.
 _BLOCK_STRINGS = 4096
 
-#: A block of consecutive strings of a sweep: ``(words, entries, ids)``.
-_Block = tuple[Iterable[str], list, list]
 
-
-def _verdict_blocks(
+def _verdicts(
     machine: Machine,
-    cutpoint: Fraction,
+    cutpoint,
     mode: str,
     oracle: LanguageOracle,
     maxlen: int,
     kappa: float,
-    memo: dict,
-) -> Iterator[_Block]:
-    """The verdicts of a checked request, in blocks of consecutive strings.
+) -> tuple[Fraction, list[tuple[Value, bool, str]], Iterator[tuple[Iterable[str], list[int]]]]:
+    """A sweep's checked cutpoint, its verdict entries and its blocks of strings.
 
-    A block ``(words, entries, ids)`` holds ``len(ids)`` strings:
-    ``words`` iterates over them once, in order; ``entries`` lists memo
-    entries ``(value, member, verdict)``; and ``ids[k]`` is the index in
-    ``entries`` of the ``k``-th string's entry. Blocks come in
-    length-lexicographic order, so a consumer can render and tally each
-    distinct entry once per block instead of once per string.
+    The request is checked here, before any string is evaluated. Each
+    distinct (value, member) pair of the sweep is decided once, keyed as
+    :func:`_lane` says, and numbered in the order first met: ``entries``
+    lists ``(value, member, verdict)`` by number and keeps the first
+    value, equal to every later one. It grows as the blocks are drawn,
+    and holds every number of a block by the time the block comes.
 
-    Counting languages reach few distinct values: each (value, member)
-    pair is decided once, and its entry in ``memo`` is the same object
-    for every string that reaches the pair, keyed as :func:`_lane` says.
-    The entry keeps the first value, equal to every later one. A
-    classical machine with a stepping oracle is swept by class, a block
-    per length (see :func:`_class_blocks`); anything else string by
-    string, in blocks of at most :data:`_BLOCK_STRINGS`.
+    A block ``(words, ids)`` holds ``len(ids)`` consecutive strings:
+    ``words`` iterates over them once, in order, and ``ids[k]`` is the
+    number of the ``k``-th string's entry. Blocks come in
+    length-lexicographic order. A classical machine with a stepping oracle
+    is swept by class, a block per length (see :func:`_class_blocks`);
+    anything else string by string, in blocks of at most
+    :data:`_BLOCK_STRINGS`.
     """
+    cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
     claims = _CLAIMS[mode]
+    entries: list[tuple[Value, bool, str]] = []
+    numbers: dict = {}
 
-    def decide(value: Value, member: bool, threshold: Value, key) -> tuple[Value, bool, str]:
+    def decide(value: Value, member: bool, threshold: Value, key) -> int:
+        """Decide a pair not yet numbered, and number it."""
         sign = _sign(value, threshold, kappa)
         if sign is None:
             verdict = "indeterminate"
@@ -321,50 +321,44 @@ def _verdict_blocks(
             verdict = "agree"
         else:
             verdict = "disagree"
-        entry = memo[key] = (value, member, verdict)
-        return entry
+        i = numbers[key] = len(entries)
+        entries.append((value, member, verdict))
+        return i
 
     if oracle.stepper is not None and machine.kind != "qfa":
-        return _class_blocks(machine, cutpoint, oracle.stepper, maxlen, memo, decide)
-    return _string_blocks(machine, cutpoint, oracle.membership, maxlen, memo, decide)
+        blocks = _class_blocks(machine, cutpoint, oracle.stepper, maxlen, numbers, decide)
+    else:
+        blocks = _string_blocks(*_lane(machine, cutpoint, maxlen), oracle.membership, numbers, decide)
+    return cutpoint, entries, blocks
 
 
-def _string_blocks(
-    machine: Machine, cutpoint: Fraction, membership, maxlen: int, memo: dict, decide
-) -> Iterator[_Block]:
-    """:func:`_verdict_blocks` one string at a time: each string's membership is asked from scratch.
-
-    A block numbers the distinct memo keys among its strings.
-    """
-    values, threshold, key_of = _lane(machine, cutpoint, maxlen)
+def _string_blocks(values, threshold: Value, key_of, membership, numbers: dict, decide) -> Iterator[tuple[list, list]]:
+    """:func:`_verdicts` one string at a time: each string's membership is asked from scratch."""
     while True:
-        words, entries, ids, index = [], [], [], {}
+        words, ids = [], []
         for w, value in itertools.islice(values, _BLOCK_STRINGS):
             # The alphabets match (checked with the request), so no per-letter check.
             member = bool(membership(w))
             key = (key_of(value), member)
-            i = index.get(key)
+            i = numbers.get(key)
             if i is None:
-                i = index[key] = len(entries)
-                entry = memo.get(key)
-                entries.append(decide(value, member, threshold, key) if entry is None else entry)
+                i = decide(value, member, threshold, key)
             words.append(w)
             ids.append(i)
         if not words:
             return
-        yield words, entries, ids
+        yield words, ids
 
 
 def _class_blocks(
-    machine: ClassicalAutomaton, cutpoint: Fraction, stepper: OracleStepper, maxlen: int, memo: dict, decide
-) -> Iterator[_Block]:
-    """:func:`_verdict_blocks` over classes: the strings of one length that reach one exact state and one oracle state.
+    machine: ClassicalAutomaton, cutpoint: Fraction, stepper: OracleStepper, maxlen: int, numbers: dict, decide
+) -> Iterator[tuple[Iterator[str], list]]:
+    """:func:`_verdicts` over classes: the strings of one length that reach one exact state and one oracle state.
 
     Such strings share their value and membership, so each class is
-    stepped once per symbol, read out once and given its memo entry once.
-    A length is one block: ``entries`` holds one entry per class and
-    ``ids`` each string's class index, so a string costs a list slot.
-    Only one length's classes are kept at a time.
+    stepped once per symbol, read out once and numbered once. A length is
+    one block, whose ``ids`` map each string's class to its class's
+    number. Only one length's classes are kept at a time.
     """
     table = machine.transitions
     alphabet = machine.alphabet
@@ -372,12 +366,12 @@ def _class_blocks(
     dollar = table[DOLLAR]
     member_of, step_oracle = stepper.member, stepper.step
 
-    def entry(state, oracle_state) -> tuple[Fraction, bool, str]:
+    def number(state, oracle_state) -> int:
         value = _readout(machine, dollar.step(state))
         member = bool(member_of(oracle_state))
         key = (value.as_integer_ratio(), member)
-        found = memo.get(key)
-        return decide(value, member, cutpoint, key) if found is None else found
+        i = numbers.get(key)
+        return decide(value, member, cutpoint, key) if i is None else i
 
     def children(classes: dict, ids: list) -> tuple[dict, list]:
         kids: dict = {}
@@ -400,12 +394,12 @@ def _class_blocks(
             classes, ids = children(classes, ids)
             if not ids:  # no symbols: no string is longer than 0
                 return
-        yield map("".join, itertools.product(alphabet, repeat=length)), [entry(*c) for c in classes], ids
+        class_numbers = [number(*c) for c in classes]
+        yield map("".join, itertools.product(alphabet, repeat=length)), list(map(class_numbers.__getitem__, ids))
 
 
-def _extremes(memo: dict) -> tuple[Value | None, Value | None]:
-    """The least member value and the greatest non-member value among a sweep's memo entries."""
-    entries = memo.values()
+def _extremes(entries: list) -> tuple[Value | None, Value | None]:
+    """The least member value and the greatest non-member value among a sweep's entries."""
     return (
         min((v for v, member, _ in entries if member), default=None),
         max((v for v, member, _ in entries if not member), default=None),
@@ -431,11 +425,9 @@ def sweep(
     :data:`SWEEP_CAP` strings raises ``ValueError`` before any string is
     evaluated.
     """
-    cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
-    memo: dict = {}
-    blocks = _verdict_blocks(machine, cutpoint, mode, oracle, maxlen, kappa, memo)
-    records = tuple(StringRecord(w, *entries[i]) for words, entries, ids in blocks for w, i in zip(words, ids))
-    low, high = _extremes(memo)
+    cutpoint, entries, blocks = _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa)
+    records = tuple(StringRecord(w, *entries[i]) for words, ids in blocks for w, i in zip(words, ids))
+    low, high = _extremes(entries)
     return SweepReport(
         mode,
         cutpoint,
@@ -476,14 +468,13 @@ def isolation_gap(
     """Measure how far machine values stay from a cutpoint, per oracle side.
 
     Checks the request as :func:`sweep` does, but keeps no record per
-    string: the extremes are read off the verdict memo.
+    string: the extremes are read off the sweep's verdict entries.
     """
-    cutpoint = _checked_cutpoint(machine, cutpoint, "isolation", oracle, maxlen)
-    memo: dict = {}
-    # The blocks fill the memo as they come; their strings are not needed.
-    for _ in _verdict_blocks(machine, cutpoint, "isolation", oracle, maxlen, kappa, memo):
+    cutpoint, entries, blocks = _verdicts(machine, cutpoint, "isolation", oracle, maxlen, kappa)
+    # The blocks fill the entries as they come; their strings are not needed.
+    for _ in blocks:
         pass
-    low, high = _extremes(memo)
+    low, high = _extremes(entries)
     gap = None
     if low is not None and high is not None:
         radius = min(low - cutpoint, cutpoint - high)

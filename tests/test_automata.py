@@ -59,6 +59,11 @@ def test_build_fills_identity_markers():
     assert m.transitions[DOLLAR] == Mat.identity(2)
 
 
+def test_machine_without_states_rejected():
+    with pytest.raises(ValueError, match="at least one state"):
+        ClassicalAutomaton(kind="afa", states=(), alphabet=("a",), transitions={}, initial=0, accepting=())
+
+
 def test_duplicate_state_names_rejected():
     with pytest.raises(ValueError):
         ClassicalAutomaton.build(
@@ -400,6 +405,8 @@ def test_weigh_partition_requires_a_partition():
         weigh_partition(vec([1, 0]), [{0, 1}, {1}])
     with pytest.raises(ValueError):
         weigh_partition(vec([0, 0]), [{0}, {1}])
+    with pytest.raises(ValueError, match="partition index 2 out of range"):
+        weigh_partition(vec([1, 0]), [{0}, {2}])
 
 
 @given(st.lists(

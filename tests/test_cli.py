@@ -396,6 +396,32 @@ def test_sweep_with_a_negative_maxlen_is_a_usage_error(tmp_path, m1_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lane", ["class", "string", "quantum"])
+def test_sweep_renders_each_distinct_row_once(tmp_path, m1_path, capsys, monkeypatch, lane):
+    machine, path, cutpoint, mode, spec, maxlen = m1_eq(), m1_path, "5/6", "cutpoint", "eq", 9
+    if lane == "string":
+        eq = BUILTIN_ORACLES["eq"]
+        monkeypatch.setitem(BUILTIN_ORACLES, "eq", lambda: replace(eq(), stepper=None))
+    elif lane == "quantum":
+        machine, path = afa_to_nqfa(abs_eq()), str(tmp_path / "abs-q.afa")
+        save_automaton(machine, path)
+        cutpoint, mode, spec, maxlen = "0", "nondet", "abseq", 8
+    # Small blocks and writes, so that the same rows recur across both.
+    monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 5)
+    report = sweep(machine, Fraction(cutpoint), mode, BUILTIN_ORACLES[spec](), maxlen)
+    expected = render_report(report)
+    rendered = []
+    row_tail = cli._row_tail
+    monkeypatch.setattr(cli, "_row_tail", lambda *args: rendered.append(args[:2]) or row_tail(*args))
+    argv = ["sweep", path, "--cutpoint", cutpoint, "--mode", mode, "--oracle", spec, "--maxlen", str(maxlen)]
+    assert main(argv) == (0 if report.ok else 1)
+    assert capsys.readouterr().out == expected
+    distinct = {(r.value, r.member) for r in report.records}
+    assert len(rendered) == len(set(rendered)) == len(distinct) < len(report.records)
+    assert set(rendered) == distinct
+
+
 def test_sweep_oracle_can_be_a_dfa_file(tmp_path, capsys):
     dfa = tmp_path / "parity.dfa"
     dfa.write_text(
@@ -815,7 +841,7 @@ def test_zoo_m2_with_scale_runs(tmp_path, capsys):
 # ------------------------------------------------------------------- usage
 
 
-@pytest.mark.parametrize("kappa", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("kappa", ["inf", "nan", "-1", "abc"])
 @pytest.mark.parametrize(
     "command",
     [

@@ -7,6 +7,7 @@ construction has a target identity relating old and new acceptance values.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,8 @@ def test_shift_extreme_validates_arguments():
         shift_extreme(m1_eq(), "sideways", Fraction(1, 2))
     with pytest.raises(ValueError):
         shift_extreme(m1_eq(), "one", Fraction(0))
+    with pytest.raises(ValueError, match="side='one' needs at least one accepting state"):
+        shift_extreme(replace(m1_eq(), accepting=()), "one", Fraction(1, 2))
 
 
 # ------------------------------------------------- exclusive to nondet
@@ -339,6 +342,11 @@ def test_afa_to_nqfa_channels_are_valid():
         q = afa_to_nqfa(machine)
         assert q.size == 2 * machine.size
         assert q.violations() == []
+
+
+def test_afa_to_nqfa_residual_names_avoid_the_original_ones():
+    q = afa_to_nqfa(replace(m1_eq(), states=("e1", "e1.res")))
+    assert q.states == ("e1", "e1.res", "e1.resx", "e1.res.res")
 
 
 def test_afa_to_nqfa_tracks_the_affine_vector():

@@ -88,6 +88,13 @@ def test_vec_rejects_floats():
         vec([0.5, 0.5])
 
 
+def test_vectors_and_matrices_need_an_entry():
+    with pytest.raises(ValueError, match="at least one entry"):
+        vec([])
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        Mat.identity(0)
+
+
 def test_vec_mixed_entry_forms():
     assert vec([1, "1/2", Fraction(-3, 2)]) == (ONE, Fraction(1, 2), Fraction(-3, 2))
 
@@ -155,6 +162,11 @@ def test_matmul_agrees_with_apply():
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         Mat([[1, 2]]) @ Mat([[1, 2]])
+
+
+def test_matmul_by_a_non_matrix_is_a_type_error():
+    with pytest.raises(TypeError):
+        Mat.identity(2) @ 3
 
 
 def test_column_sums():
@@ -345,6 +357,11 @@ def test_step_rejects_a_vector_of_the_wrong_length():
         with pytest.raises(ValueError, match=r"\Avector length 3 does not match 2 columns\Z"):
             m.step(exact_state(vec([1, 0, 0])))
         m.step(exact_state(vec([1, 0])))
+
+
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"\Avector length 3 does not match 2 columns\Z"):
+        Mat.identity(2).apply(vec([1, 0, 0]))
 
 
 def test_first_step_keeps_the_matrix_equal_hashed_and_immutable():

@@ -130,6 +130,13 @@ def test_channel_elements_must_share_shape():
         Superoperator((np.eye(2), np.eye(3)))
     with pytest.raises(ValueError):
         Superoperator((np.ones((2, 3)),))
+    with pytest.raises(ValueError, match="must be finite"):
+        Superoperator((np.array([[np.inf]]),))
+
+
+def test_basis_density_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError, match="basis index 5 out of range for dimension 2"):
+        basis_density(2, 5)
 
 
 def test_random_channels_are_valid():
@@ -181,6 +188,7 @@ def test_density_defects_flag_bad_matrices():
     assert density_defects(np.diag([0.7, 0.7]))
     assert density_defects(np.array([[0.5, 0.3], [0.2, 0.5]]))
     assert density_defects(np.diag([1.5, -0.5]))
+    assert density_defects(np.zeros((2, 3))) == ["not square: shape (2, 3)"]
     assert not density_defects(np.diag([0.25, 0.75]))
 
 

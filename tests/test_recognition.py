@@ -144,6 +144,11 @@ def test_enumerate_strings_over_no_letters_stops_after_the_empty_string():
     assert list(enumerate_strings((), 10**9)) == [""]
 
 
+def test_enumerate_strings_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="maxlen must be nonnegative"):
+        list(enumerate_strings("ab", -1))
+
+
 @pytest.mark.parametrize(
     "oracle, maxlen",
     [
