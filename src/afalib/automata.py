@@ -224,18 +224,21 @@ def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
     return _readout(machine, state)
 
 
-def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tuple[str, object]]:
-    """Yield ``(w, value of w)`` for every ``len(w) <= maxlen``.
+def _length_lex(alphabet, maxlen: int, start, children, readout, most: int) -> Iterator[tuple[list[str], Sequence]]:
+    """Yield ``(words, values)`` blocks covering every ``len(w) <= maxlen``.
 
-    States travel in blocks, each holding the states of consecutive
-    strings of one length, ``len(block)`` strings. ``start`` is the block
-    of the empty string; ``children(block)`` yields the blocks one symbol
-    on, which together hold each state's children in alphabet order;
-    ``readout(block)`` gives one value per string of the block, in order.
-    Strings come out in length order, lexicographic within a length. A
-    level's blocks are made only as the generator reaches them and are
-    read out as they are made; each block is dropped once its children are
-    made, and the deepest level's blocks are not kept.
+    A block holds at most ``most`` consecutive strings of one length in
+    ``words`` and their values, in order, in ``values``. States travel in
+    blocks too, each holding the states of consecutive strings of one
+    length, ``len(block)`` strings. ``start`` is the block of the empty
+    string; ``children(block)`` yields the blocks one symbol on, which
+    together hold each state's children in alphabet order;
+    ``readout(part)`` gives the values of a slice of a block, one per
+    string, in order. Strings come out in length order,
+    lexicographic within a length. A level's blocks are made only as the
+    generator reaches them and are read out as they are made, ``most``
+    states at a time; each block is dropped once its children are made,
+    and the deepest level's blocks are not kept.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
@@ -244,7 +247,9 @@ def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tup
         words = map("".join, product(alphabet, repeat=length))
         kept = []
         for block in blocks:
-            yield from zip(islice(words, len(block)), readout(block))
+            for i in range(0, len(block), most):
+                part = block[i : i + most]
+                yield list(islice(words, len(part))), readout(part)
             if length < maxlen and len(block):
                 kept.append(block)
         if not kept:
@@ -259,6 +264,10 @@ def _children_in_turn(blocks: list, children) -> Iterator:
         yield from children(blocks.pop())
 
 
+#: The most strings in one block of values that prefix_values reads out.
+BLOCK_STRINGS = 4096
+
+
 def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[str, Fraction]]:
     """Yield ``(w, accept_value(w))`` for every string with ``len(w) <= maxlen``.
 
@@ -268,8 +277,15 @@ def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[st
     languages, so many strings reach the same state vector: steps and
     readouts are cached per call by exact state, so each distinct state
     is stepped once per symbol and read out once, and a string costs a
-    lookup. Levels are built only as the generator reaches them.
+    lookup. Levels are built only as the generator reaches them, and read
+    out in blocks of :data:`BLOCK_STRINGS` (see :func:`_value_blocks`).
     """
+    for words, values in _value_blocks(machine, maxlen, BLOCK_STRINGS):
+        yield from zip(words, values)
+
+
+def _value_blocks(machine: ClassicalAutomaton, maxlen: int, most: int) -> Iterator[tuple[list[str], list[Fraction]]]:
+    """The strings and values of :func:`prefix_values` as :func:`_length_lex` blocks of at most ``most``."""
     table = machine.transitions
     steps = [table[sym] for sym in machine.alphabet]
 
@@ -286,7 +302,8 @@ def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[st
         maxlen,
         [table[CENT].step(_initial(machine))],
         lambda states: [[child for state in states for child in children(state)]],
-        lambda states: map(readout, states),
+        lambda states: list(map(readout, states)),
+        most,
     )
 
 

@@ -11,7 +11,6 @@ text and are byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import operator
 import sys
@@ -22,7 +21,7 @@ from .automata import _final, _readout, accept_value_normalized
 from .exactnum import RationalParseError, parse_rational, render_rational, state_vector
 from .fileformat import dumps_automaton, load_automaton, load_counter_spec
 from .quantum import DEFAULT_KAPPA, qfa_accept, qfa_final_density
-from .recognition import BUILTIN_ORACLES, SweepReport, _extremes, _verdicts, dfa_oracle
+from .recognition import BUILTIN_ORACLES, SweepReport, _extremes, _scanned, _verdicts, dfa_oracle
 
 USAGE_ERROR = 2
 CLAIM_FAILED = 1
@@ -159,30 +158,17 @@ def cmd_sweep(args) -> int:
     cutpoint, entries, blocks = _verdicts(machine, args.cutpoint, mode, oracle, maxlen, kappa)
     # The report of render_report(sweep(...)), without a record per string.
     # tails[i] is the row tail of entries[i], rendered once, before the
-    # first block that uses it; a block's rows are joined at C level from
-    # its strings and their tails, a bounded chunk at a time. The chunks are
-    # kept and written at the end, so a sweep that fails part-way writes
-    # nothing.
+    # first chunk that uses it; a chunk's rows are joined at C level from
+    # its strings and their tails. The chunks are kept and written at the
+    # end, so a sweep that fails part-way writes nothing.
     tails: list[str] = []
-    # The numbers of the entries that do not agree, with their list of strings.
-    odd: dict[int, list] = {}
-    counterexamples, indeterminate = [], []
+    counterexamples: list[str] = []
+    indeterminate: list[str] = []
     parts = [_REPORT_HEADER]
     strings = 0
-    for words, ids in blocks:
-        for i, (value, member, verdict) in enumerate(entries[len(tails) :], len(tails)):
-            tails.append(_row_tail(value, member, verdict, kappa))
-            if verdict != "agree":
-                odd[i] = counterexamples if verdict == "disagree" else indeterminate
-        words = iter(words)
-        for start in range(0, len(ids), _ROWS_PER_WRITE):
-            part = ids[start : start + _ROWS_PER_WRITE]
-            chunk = list(itertools.islice(words, len(part)))
-            parts.append("".join(map(operator.add, chunk, map(tails.__getitem__, part))))
-            if odd and not odd.keys().isdisjoint(part):
-                for w, i in zip(chunk, part):
-                    if i in odd:
-                        odd[i].append(w)
+    for words, ids in _scanned(entries, blocks, _ROWS_PER_WRITE, counterexamples, indeterminate):
+        tails += (_row_tail(*entry, kappa) for entry in entries[len(tails) :])
+        parts.append("".join(map(operator.add, words, map(tails.__getitem__, ids))))
         strings += len(ids)
     # The rows are rendered already: the report holds only the aggregates.
     low, high = _extremes(entries)

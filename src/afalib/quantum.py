@@ -23,7 +23,7 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .automata import CENT, DOLLAR, _check_machine, _check_partition, _length_lex, _operators
+from .automata import BLOCK_STRINGS, CENT, DOLLAR, _check_machine, _check_partition, _length_lex, _operators
 
 DEFAULT_KAPPA = 1e-9
 
@@ -275,6 +275,16 @@ def _clamped(w: str, raw: float) -> float:
     return min(1.0, max(0.0, _finite(w, raw)))
 
 
+def _clamped_block(words: list[str], raw: np.ndarray) -> list[float]:
+    """:func:`_clamped` of each raw value of a block, at once: ``raw[k]`` is the value of ``words[k]``."""
+    finite = np.isfinite(raw)
+    if not finite.all():
+        k = int(finite.argmin())  # the first value that is not finite
+        _finite(words[k], float(raw[k]))
+    # np.clip keeps -0.0, where max(0.0, -0.0) gives 0.0; adding 0.0 makes it 0.0.
+    return (np.clip(raw, 0.0, 1.0) + 0.0).tolist()
+
+
 def qfa_accept(machine: QuantumAutomaton, w: str) -> float:
     """Acceptance probability of ``w``, clamped into [0, 1] for reporting.
 
@@ -306,13 +316,25 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
     is finite. Each length level is stepped as ``(N, |S|, |S|)`` stacks in
     blocks of at most ``BLOCK_FLOATS`` floats: each symbol's channel steps
     a whole block in one call, and the block of children this makes is
-    read out at once. The deepest level is read out block by block and
-    never stored. Nothing is cached by state: float densities almost never
-    repeat bit for bit (the 32,767, 8,191 and 3,280 strings of the
-    ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and ``lapins`` to
+    read out :data:`~afalib.automata.BLOCK_STRINGS` densities at a time
+    (see :func:`_value_blocks`). The deepest level is read out block by
+    block and never stored. Nothing is cached by state: float densities
+    almost never repeat bit for bit (the 32,767, 8,191 and 3,280 strings of
+    the ``afa_to_nqfa`` machines of ``m1_eq``, ``abs_eq`` and ``lapins`` to
     lengths 14, 12 and 7 reach as many distinct densities), so a table
     keyed by density would only cost memory. A value that is not finite
-    raises ``ValueError`` naming its string.
+    raises ``ValueError`` naming its string, before any string of its
+    block comes out.
+    """
+    for words, values in _value_blocks(machine, maxlen, BLOCK_STRINGS):
+        yield from zip(words, values)
+
+
+def _value_blocks(machine: QuantumAutomaton, maxlen: int, most: int) -> Iterator[tuple[list[str], list[float]]]:
+    """The strings and values of :func:`qfa_prefix_values` as blocks of at most ``most``.
+
+    Each block is read out, checked and clamped at once (see
+    :func:`_clamped_block`).
     """
     channels, start, accepting = machine._block
     steps = [channels[sym] for sym in machine.alphabet]
@@ -329,11 +351,12 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
             # Counted, not -1: an empty block has densities of no entries.
             yield kids.reshape(len(part) * len(steps), size, size)
 
-    def readout(rhos: np.ndarray) -> list[float]:
-        return _accept_from_density(accepting, apply_channel(channels[DOLLAR], rhos)).tolist()
+    def readout(rhos: np.ndarray) -> np.ndarray:
+        return _accept_from_density(accepting, apply_channel(channels[DOLLAR], rhos))
 
-    for w, raw in _length_lex(machine.alphabet, maxlen, apply_channel(channels[CENT], start), children, readout):
-        yield w, _clamped(w, raw)
+    first = apply_channel(channels[CENT], start)
+    for words, raw in _length_lex(machine.alphabet, maxlen, first, children, readout, most):
+        yield words, _clamped_block(words, raw)
 
 
 def projective_measure(

@@ -11,13 +11,15 @@ indeterminate rather than misclassified.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
-from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _readout, prefix_values
-from .quantum import DEFAULT_KAPPA, QuantumAutomaton, qfa_prefix_values
+from . import automata, quantum
+from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _readout
+from .quantum import DEFAULT_KAPPA, QuantumAutomaton
 
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
 Value = Union[Fraction, float]
@@ -204,8 +206,7 @@ def _sign(value: Value, cutpoint: Value, kappa: float) -> int | None:
     return (diff > 0) - (diff < 0)
 
 
-@dataclass(frozen=True, slots=True)
-class StringRecord:
+class StringRecord(NamedTuple):
     string: str
     value: Value
     member: bool
@@ -245,20 +246,23 @@ class SweepReport:
         return self.min_member_value - self.max_nonmember_value
 
 
-def _lane(machine: Machine, cutpoint: Fraction, maxlen: int) -> tuple[Iterator[tuple[str, Value]], Value, Callable]:
-    """A machine's values to ``maxlen``, the cutpoint :func:`_sign` meets them with, and their key.
+def _lane(machine: Machine, cutpoint: Fraction, maxlen: int) -> tuple[Iterator[tuple[list[str], list]], Value, Callable]:
+    """A machine's blocks of values to ``maxlen``, the cutpoint :func:`_sign` meets them with, and their key.
 
-    The one lane switch. An exact value is keyed by its integer ratio,
-    which hashes faster than the Fraction; a float by itself, against the
-    cutpoint converted once here (past float range, an unusable request).
+    The one lane switch. A block ``(words, values)`` holds at most
+    :data:`_BLOCK_STRINGS` consecutive strings and their values, in
+    length-lexicographic order (see :func:`afalib.automata._length_lex`).
+    An exact value is keyed by its integer ratio, which hashes faster than
+    the Fraction; a float by itself, against the cutpoint converted once
+    here (past float range, an unusable request).
     """
     if machine.kind != "qfa":
-        return prefix_values(machine, maxlen), cutpoint, Fraction.as_integer_ratio
+        return automata._value_blocks(machine, maxlen, _BLOCK_STRINGS), cutpoint, Fraction.as_integer_ratio
     try:
         threshold = float(cutpoint)
     except OverflowError:
         raise ValueError("the cutpoint is past float range, and a quantum machine's values are floats") from None
-    return qfa_prefix_values(machine, maxlen), threshold, float
+    return quantum._value_blocks(machine, maxlen, _BLOCK_STRINGS), threshold, float
 
 
 def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOracle, maxlen: int) -> Fraction:
@@ -289,23 +293,25 @@ def _verdicts(
     oracle: LanguageOracle,
     maxlen: int,
     kappa: float,
-) -> tuple[Fraction, list[tuple[Value, bool, str]], Iterator[tuple[Iterable[str], list[int]]]]:
+) -> tuple[Fraction, list[tuple[Value, bool, str]], Iterator[tuple[Iterable[str], Iterable[int]]]]:
     """A sweep's checked cutpoint, its verdict entries and its blocks of strings.
 
     The request is checked here, before any string is evaluated. Each
     distinct (value, member) pair of the sweep is decided once, keyed as
     :func:`_lane` says, and numbered in the order first met: ``entries``
-    lists ``(value, member, verdict)`` by number and keeps the first
-    value, equal to every later one. It grows as the blocks are drawn,
-    and holds every number of a block by the time the block comes.
+    lists ``(value, member, verdict)`` by number and keeps one of the
+    pair's values, which are all equal: exact values are keyed exactly,
+    and the float lane yields no ``-0.0``. It grows as the blocks are
+    drawn, and holds every number of a block by the time the block comes.
 
-    A block ``(words, ids)`` holds ``len(ids)`` consecutive strings:
-    ``words`` iterates over them once, in order, and ``ids[k]`` is the
-    number of the ``k``-th string's entry. Blocks come in
-    length-lexicographic order. A classical machine with a stepping oracle
-    is swept by class, a block per length (see :func:`_class_blocks`);
-    anything else string by string, in blocks of at most
-    :data:`_BLOCK_STRINGS`.
+    A block ``(words, ids)`` holds consecutive strings: ``words`` iterates
+    over them once, in order, and ``ids`` over the numbers of their
+    entries, as many. Blocks come in length-lexicographic order. A
+    classical machine with a stepping oracle is swept by class, a block
+    per length whose ``words`` and ``ids`` are made only as they are
+    iterated (see :func:`_class_blocks`); anything else string by string,
+    in the lane's blocks of at most :data:`_BLOCK_STRINGS` (see
+    :func:`_lane`), whose ``words`` and ``ids`` are lists.
     """
     cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
     claims = _CLAIMS[mode]
@@ -332,22 +338,21 @@ def _verdicts(
     return cutpoint, entries, blocks
 
 
-def _string_blocks(values, threshold: Value, key_of, membership, numbers: dict, decide) -> Iterator[tuple[list, list]]:
-    """:func:`_verdicts` one string at a time: each string's membership is asked from scratch."""
-    while True:
-        words, ids = [], []
-        for w, value in itertools.islice(values, _BLOCK_STRINGS):
-            # The alphabets match (checked with the request), so no per-letter check.
-            member = bool(membership(w))
-            key = (key_of(value), member)
-            i = numbers.get(key)
-            if i is None:
-                i = decide(value, member, threshold, key)
-            words.append(w)
-            ids.append(i)
-        if not words:
-            return
-        yield words, ids
+def _string_blocks(blocks, threshold: Value, key_of, membership, numbers: dict, decide) -> Iterator[tuple[list, list]]:
+    """:func:`_verdicts` string by string: each string's membership is asked from scratch.
+
+    The lane's blocks are the sweep's blocks. The pairs of a block that
+    are not yet numbered are decided once each, in the order first met;
+    then its strings are numbered at C level.
+    """
+    for words, values in blocks:
+        # The alphabets match (checked with the request), so no per-letter check.
+        keys = list(zip(map(key_of, values), map(bool, map(membership, words))))
+        # Equal keys have equal values, so any one of them can be decided.
+        for key, value in dict(zip(keys, values)).items():
+            if key not in numbers:
+                decide(value, key[1], threshold, key)
+        yield words, list(map(numbers.__getitem__, keys))
 
 
 def _class_blocks(
@@ -358,7 +363,9 @@ def _class_blocks(
     Such strings share their value and membership, so each class is
     stepped once per symbol, read out once and numbered once. A length is
     one block, whose ``ids`` map each string's class to its class's
-    number. Only one length's classes are kept at a time.
+    number as they are iterated: a caller that reads only the entries
+    makes no per-string list of numbers. Only one length's classes are
+    kept at a time.
     """
     table = machine.transitions
     alphabet = machine.alphabet
@@ -395,7 +402,7 @@ def _class_blocks(
             if not ids:  # no symbols: no string is longer than 0
                 return
         class_numbers = [number(*c) for c in classes]
-        yield map("".join, itertools.product(alphabet, repeat=length)), list(map(class_numbers.__getitem__, ids))
+        yield map("".join, itertools.product(alphabet, repeat=length)), map(class_numbers.__getitem__, ids)
 
 
 def _extremes(entries: list) -> tuple[Value | None, Value | None]:
@@ -404,6 +411,35 @@ def _extremes(entries: list) -> tuple[Value | None, Value | None]:
         min((v for v, member, _ in entries if member), default=None),
         max((v for v, member, _ in entries if not member), default=None),
     )
+
+
+def _scanned(
+    entries: list, blocks, most: int, counterexamples: list, indeterminate: list
+) -> Iterator[tuple[list[str], list[int]]]:
+    """The strings of a sweep's blocks and their entry numbers, as lists of at most ``most``.
+
+    As the lists come, each string whose entry disagrees is appended to
+    ``counterexamples`` and each indeterminate one to ``indeterminate``,
+    in order. Only a list that holds the number of such an entry is
+    scanned string by string.
+    """
+    # The numbers of the entries that do not agree, with their list of strings.
+    odd: dict[int, list] = {}
+    seen = 0
+    for words, ids in blocks:
+        for i in range(seen, len(entries)):
+            verdict = entries[i][2]
+            if verdict != "agree":
+                odd[i] = counterexamples if verdict == "disagree" else indeterminate
+        seen = len(entries)
+        words, ids = iter(words), iter(ids)
+        while part := list(itertools.islice(ids, most)):
+            chunk = list(itertools.islice(words, len(part)))
+            if odd and not odd.keys().isdisjoint(part):
+                for w, i in zip(chunk, part):
+                    if i in odd:
+                        odd[i].append(w)
+            yield chunk, part
 
 
 def sweep(
@@ -426,16 +462,23 @@ def sweep(
     evaluated.
     """
     cutpoint, entries, blocks = _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa)
-    records = tuple(StringRecord(w, *entries[i]) for words, ids in blocks for w, i in zip(words, ids))
+    counterexamples: list[str] = []
+    indeterminate: list[str] = []
+    records: list[StringRecord] = []
+    for words, ids in _scanned(entries, blocks, _BLOCK_STRINGS, counterexamples, indeterminate):
+        # A record's fields are its string, then its entry's (value, member,
+        # verdict); tuple.__new__ is StringRecord._make without a Python call.
+        fields = map(operator.add, zip(words), map(entries.__getitem__, ids))
+        records += map(tuple.__new__, itertools.repeat(StringRecord), fields)
     low, high = _extremes(entries)
     return SweepReport(
         mode,
         cutpoint,
         maxlen,
         kappa,
-        records,
-        counterexamples=tuple(r.string for r in records if r.verdict == "disagree"),
-        indeterminate=tuple(r.string for r in records if r.verdict == "indeterminate"),
+        tuple(records),
+        counterexamples=tuple(counterexamples),
+        indeterminate=tuple(indeterminate),
         min_member_value=low,
         max_nonmember_value=high,
     )
@@ -511,9 +554,11 @@ def equivalence_check(
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
-    values1, threshold1, _ = _lane(m1, Fraction(cutpoint1), maxlen)
+    blocks1, threshold1, _ = _lane(m1, Fraction(cutpoint1), maxlen)
     # Enumerating m2 in m1's symbol order lists the same strings in both streams.
-    values2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), Fraction(cutpoint2), maxlen)
+    blocks2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), Fraction(cutpoint2), maxlen)
+    # The lanes may cut their blocks at different strings: the streams meet string by string.
+    values1, values2 = (itertools.chain.from_iterable(itertools.starmap(zip, b)) for b in (blocks1, blocks2))
     violations = []
     indeterminate = []
     for (w, v1), (_, v2) in zip(values1, values2):

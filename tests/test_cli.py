@@ -227,6 +227,38 @@ def test_a_non_finite_quantum_acceptance_is_an_error(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_non_finite_value_inside_a_block_is_named_in_every_lane(tmp_path, capsys, monkeypatch):
+    # Each b scales the density by 1e140: 'bbb' is the first string whose
+    # value overflows, and the last of the four strings of its block.
+    channels = {"a": Superoperator.identity(1), "b": Superoperator((np.array([[1e70]]),))}
+    machine = QuantumAutomaton.build(("p",), ("a", "b"), channels, 0, (0,))
+    monkeypatch.setattr(quantum, "BLOCK_FLOATS", 2)
+    monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 5)
+    message = "acceptance of 'bbb' is inf, not a finite number"
+    seen = []
+    with pytest.raises(ValueError, match=message):
+        for w, _ in quantum.qfa_prefix_values(machine, 3):
+            seen.append(w)
+    # A block is checked whole: 'bbb' comes with 'baa', 'bab' and 'bba'.
+    assert seen == list(recognition.enumerate_strings("ab", 3))[:-4]
+    with pytest.raises(ValueError, match=message):
+        list(quantum.qfa_prefix_values(machine, 3))
+    with pytest.raises(ValueError, match=message):
+        sweep(machine, Fraction(1, 2), "cutpoint", BUILTIN_ORACLES["eq"](), 3)
+    path = tmp_path / "overflow.qfa"
+    path.write_text(dumps_automaton(machine))
+    out = tmp_path / "report.tsv"
+    argv = ["sweep", str(path), "--cutpoint", "1/2", "--oracle", "eq", "--maxlen", "3", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_run_reads_the_value_a_sweep_reads_and_refuses_a_non_finite_density(tmp_path, capsys):
     # r reads p and grows by 1e200 a letter; the accepting block {p} reads
     # only p, so 'aa' has the value 1 while the whole density overflows.

@@ -18,6 +18,7 @@ from afalib.quantum import (
     _accept_from_density,
     _accepting_block,
     _clamped,
+    _clamped_block,
     apply_channel,
     basis_density,
     density_defects,
@@ -299,6 +300,23 @@ def test_qfa_prefix_values_match_their_pinned_floats(build, maxlen, digest):
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_block_is_clamped_as_each_of_its_values_is():
+    raw = [-0.0, 0.0, -1e-12, -5e-324, 5e-324, 0.25, 1.0, 1.0 + 2**-52, 7.0]
+    words = [f"w{k}" for k in range(len(raw))]
+    clamped = _clamped_block(words, np.array(raw))
+    expected = [_clamped(w, x) for w, x in zip(words, raw)]
+    # Bit for bit, so the sign of zero counts: -0.0 == 0.0, but their hex differs.
+    assert [x.hex() for x in clamped] == [x.hex() for x in expected]
+    assert all(type(x) is float for x in clamped)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_block_names_its_first_value_that_is_not_finite(bad):
+    raw = np.array([0.5, 2.0, bad, math.nan, 0.25])
+    with pytest.raises(ValueError, match=f"acceptance of 'w2' is {bad!r}, not a finite number"):
+        _clamped_block([f"w{k}" for k in range(len(raw))], raw)
+
+
 def test_a_non_finite_acceptance_raises_naming_the_string():
     m = overflowing_machine()
     assert "inf" in m.violations()[0]

@@ -1,5 +1,6 @@
 """Tests for oracle sweeps, isolation measurement and machine equivalence."""
 
+import inspect
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from afalib import recognition
 from afalib.automata import ClassicalAutomaton, dfa_automaton
 from afalib.cli import render_report
 from afalib.constructions import abs_eq, afa_to_nqfa, compile_blind_counters, lapins, m1_eq, m2_eq
@@ -21,6 +23,7 @@ from afalib.recognition import (
     LanguageOracle,
     MODES,
     SWEEP_CAP,
+    StringRecord,
     SweepReport,
     _CLAIMS,
     _sign,
@@ -335,6 +338,41 @@ def test_sweep_accepts_quantum_machines():
     assert not report.ok
     assert report.indeterminate == ()
     assert "" in report.counterexamples
+
+
+def test_a_string_record_is_an_immutable_named_row():
+    record = StringRecord("ab", Fraction(1, 2), True, "agree")
+    names = ["string", "value", "member", "verdict"]
+    assert list(inspect.signature(StringRecord).parameters) == names
+    assert (record.string, record.value, record.member, record.verdict) == ("ab", Fraction(1, 2), True, "agree")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(record) == "StringRecord(string='ab', value=Fraction(1, 2), member=True, verdict='agree')"
+    a = sweep(m1_eq(), Fraction(5, 6), "cutpoint", EQ, 1).records[1]
+    assert repr(a) == "StringRecord(string='a', value=Fraction(2, 3), member=False, verdict='agree')"
+    empty = sweep(afa_to_nqfa(abs_eq()), 0, "nondet", BUILTIN_ORACLES["abseq"](), 0).records[0]
+    assert repr(empty) == "StringRecord(string='', value=0.002529944807591095, member=True, verdict='agree')"
+
+
+@pytest.mark.parametrize(
+    "machine, cutpoint, mode, oracle, maxlen",
+    [
+        (afa_to_nqfa(lapins()), 0, "nondet", BUILTIN_ORACLES["lapins"](), 5),
+        (m1_eq(), Fraction(1, 2), "cutpoint", EQ, 8),
+        (m1_eq(), Fraction(1, 2), "cutpoint", replace(EQ, stepper=None), 8),
+    ],
+    ids=["afa_to_nqfa(lapins)-nondet", "m1_eq-class", "m1_eq-string"],
+)
+def test_a_sweep_lists_the_strings_its_records_fail(monkeypatch, machine, cutpoint, mode, oracle, maxlen):
+    # Blocks of 7 strings, so that failing strings fall in some blocks and not in others.
+    monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
+    report = sweep(machine, cutpoint, mode, oracle, maxlen)
+    assert [r.string for r in report.records] == list(enumerate_strings(machine.alphabet, maxlen))
+    assert report.counterexamples == tuple(r.string for r in report.records if r.verdict == "disagree")
+    assert report.indeterminate == tuple(r.string for r in report.records if r.verdict == "indeterminate")
+    assert report.counterexamples and (report.indeterminate or mode != "nondet")
+    assert {r.verdict for r in report.records} >= {"agree", "disagree"}
 
 
 def test_wide_kappa_turns_everything_indeterminate():
