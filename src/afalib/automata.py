@@ -224,24 +224,29 @@ def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
     return _readout(machine, state)
 
 
-def _length_lex(alphabet, maxlen: int, start, children, readout, most: int) -> Iterator[tuple[list[str], Sequence]]:
+#: The most strings in one block of values, in every lane and in every list a sweep cuts.
+BLOCK_STRINGS = 4096
+
+
+def _length_lex(alphabet, maxlen: int, start, children, readout) -> Iterator[tuple[list[str], Sequence]]:
     """Yield ``(words, values)`` blocks covering every ``len(w) <= maxlen``.
 
-    A block holds at most ``most`` consecutive strings of one length in
-    ``words`` and their values, in order, in ``values``. States travel in
-    blocks too, each holding the states of consecutive strings of one
-    length, ``len(block)`` strings. ``start`` is the block of the empty
-    string; ``children(block)`` yields the blocks one symbol on, which
-    together hold each state's children in alphabet order;
+    A block holds at most :data:`BLOCK_STRINGS` consecutive strings of one
+    length in ``words`` and their values, in order, in ``values``. States
+    travel in blocks too, each holding the states of consecutive strings
+    of one length, ``len(block)`` strings. ``start`` is the block of the
+    empty string; ``children(block)`` yields the blocks one symbol on,
+    which together hold each state's children in alphabet order;
     ``readout(part)`` gives the values of a slice of a block, one per
-    string, in order. Strings come out in length order,
-    lexicographic within a length. A level's blocks are made only as the
-    generator reaches them and are read out as they are made, ``most``
+    string, in order. Strings come out in length order, lexicographic
+    within a length. A level's blocks are made only as the generator
+    reaches them and are read out as they are made, :data:`BLOCK_STRINGS`
     states at a time; each block is dropped once its children are made,
     and the deepest level's blocks are not kept.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
+    most = BLOCK_STRINGS
     blocks: Iterable = [start]
     for length in range(maxlen + 1):
         words = map("".join, product(alphabet, repeat=length))
@@ -264,10 +269,6 @@ def _children_in_turn(blocks: list, children) -> Iterator:
         yield from children(blocks.pop())
 
 
-#: The most strings in one block of values that prefix_values reads out.
-BLOCK_STRINGS = 4096
-
-
 def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[str, Fraction]]:
     """Yield ``(w, accept_value(w))`` for every string with ``len(w) <= maxlen``.
 
@@ -280,12 +281,12 @@ def prefix_values(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[st
     lookup. Levels are built only as the generator reaches them, and read
     out in blocks of :data:`BLOCK_STRINGS` (see :func:`_value_blocks`).
     """
-    for words, values in _value_blocks(machine, maxlen, BLOCK_STRINGS):
+    for words, values in _value_blocks(machine, maxlen):
         yield from zip(words, values)
 
 
-def _value_blocks(machine: ClassicalAutomaton, maxlen: int, most: int) -> Iterator[tuple[list[str], list[Fraction]]]:
-    """The strings and values of :func:`prefix_values` as :func:`_length_lex` blocks of at most ``most``."""
+def _value_blocks(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[list[str], list[Fraction]]]:
+    """The strings and values of :func:`prefix_values` as :func:`_length_lex` blocks."""
     table = machine.transitions
     steps = [table[sym] for sym in machine.alphabet]
 
@@ -303,7 +304,6 @@ def _value_blocks(machine: ClassicalAutomaton, maxlen: int, most: int) -> Iterat
         [table[CENT].step(_initial(machine))],
         lambda states: [[child for state in states for child in children(state)]],
         lambda states: list(map(readout, states)),
-        most,
     )
 
 

@@ -147,10 +147,6 @@ def render_report(report: SweepReport) -> str:
     return "".join(rows)
 
 
-#: The most report rows ``afa sweep`` joins into one string before writing it.
-_ROWS_PER_WRITE = 1 << 12
-
-
 def cmd_sweep(args) -> int:
     machine = load_automaton(args.path)
     oracle = _resolve_oracle(args.oracle)
@@ -166,7 +162,7 @@ def cmd_sweep(args) -> int:
     indeterminate: list[str] = []
     parts = [_REPORT_HEADER]
     strings = 0
-    for words, ids in _scanned(entries, blocks, _ROWS_PER_WRITE, counterexamples, indeterminate):
+    for words, ids in _scanned(entries, blocks, counterexamples, indeterminate):
         tails += (_row_tail(*entry, kappa) for entry in entries[len(tails) :])
         parts.append("".join(map(operator.add, words, map(tails.__getitem__, ids))))
         strings += len(ids)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .automata import CENT, DOLLAR, ClassicalAutomaton, CounterMachineSpec
-from .exactnum import ONE, ZERO, Mat, direct_sum, kron
+from .exactnum import ONE, ZERO, Mat, _entry, direct_sum, kron
 from .quantum import QuantumAutomaton, Superoperator
 
 __all__ = [
@@ -248,7 +248,7 @@ def shift_interior(machine: ClassicalAutomaton, lam1, lam2) -> ClassicalAutomato
     or gains is balanced on the pads, split lam2 to the accepting pad and
     1-lam2 to the rejecting pad. The three-way sign equivalence is exact.
     """
-    lam1, lam2 = Fraction(lam1), Fraction(lam2)
+    lam1, lam2 = _entry(lam1), _entry(lam2)
     if machine.kind != "afa":
         raise ValueError("cutpoint shifting is defined for affine machines")
     if not (0 < lam1 < 1 and 0 < lam2 < 1):
@@ -276,7 +276,7 @@ def shift_extreme(machine: ClassicalAutomaton, side: str, lam) -> ClassicalAutom
     below lam. Each accepting state keeps the lam share and sends 1-lam
     to a fresh non-accepting partner.
     """
-    lam = Fraction(lam)
+    lam = _entry(lam)
     if machine.kind != "afa":
         raise ValueError("cutpoint shifting is defined for affine machines")
     if side not in ("zero", "one"):

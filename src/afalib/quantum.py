@@ -23,7 +23,7 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .automata import BLOCK_STRINGS, CENT, DOLLAR, _check_machine, _check_partition, _length_lex, _operators
+from .automata import CENT, DOLLAR, _check_machine, _check_partition, _length_lex, _operators
 
 DEFAULT_KAPPA = 1e-9
 
@@ -326,12 +326,12 @@ def qfa_prefix_values(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[
     raises ``ValueError`` naming its string, before any string of its
     block comes out.
     """
-    for words, values in _value_blocks(machine, maxlen, BLOCK_STRINGS):
+    for words, values in _value_blocks(machine, maxlen):
         yield from zip(words, values)
 
 
-def _value_blocks(machine: QuantumAutomaton, maxlen: int, most: int) -> Iterator[tuple[list[str], list[float]]]:
-    """The strings and values of :func:`qfa_prefix_values` as blocks of at most ``most``.
+def _value_blocks(machine: QuantumAutomaton, maxlen: int) -> Iterator[tuple[list[str], list[float]]]:
+    """The strings and values of :func:`qfa_prefix_values` as :func:`~afalib.automata._length_lex` blocks.
 
     Each block is read out, checked and clamped at once (see
     :func:`_clamped_block`).
@@ -355,7 +355,7 @@ def _value_blocks(machine: QuantumAutomaton, maxlen: int, most: int) -> Iterator
         return _accept_from_density(accepting, apply_channel(channels[DOLLAR], rhos))
 
     first = apply_channel(channels[CENT], start)
-    for words, raw in _length_lex(machine.alphabet, maxlen, first, children, readout, most):
+    for words, raw in _length_lex(machine.alphabet, maxlen, first, children, readout):
         yield words, _clamped_block(words, raw)
 
 

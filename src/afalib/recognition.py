@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
 from . import automata, quantum
 from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _readout
+from .exactnum import _entry
 from .quantum import DEFAULT_KAPPA, QuantumAutomaton
 
 Machine = Union[ClassicalAutomaton, QuantumAutomaton]
@@ -246,23 +247,25 @@ class SweepReport:
         return self.min_member_value - self.max_nonmember_value
 
 
-def _lane(machine: Machine, cutpoint: Fraction, maxlen: int) -> tuple[Iterator[tuple[list[str], list]], Value, Callable]:
+def _lane(machine: Machine, cutpoint, maxlen: int) -> tuple[Iterator[tuple[list[str], list]], Value, Callable]:
     """A machine's blocks of values to ``maxlen``, the cutpoint :func:`_sign` meets them with, and their key.
 
     The one lane switch. A block ``(words, values)`` holds at most
-    :data:`_BLOCK_STRINGS` consecutive strings and their values, in
-    length-lexicographic order (see :func:`afalib.automata._length_lex`).
-    An exact value is keyed by its integer ratio, which hashes faster than
-    the Fraction; a float by itself, against the cutpoint converted once
-    here (past float range, an unusable request).
+    :data:`~afalib.automata.BLOCK_STRINGS` consecutive strings and their
+    values, in length-lexicographic order (see
+    :func:`afalib.automata._length_lex`). An exact value is keyed by its
+    integer ratio, which hashes faster than the Fraction, against an exact
+    cutpoint (a float one is refused, as a float matrix entry is); a float
+    value by itself, against the cutpoint converted once here (past float
+    range, an unusable request).
     """
     if machine.kind != "qfa":
-        return automata._value_blocks(machine, maxlen, _BLOCK_STRINGS), cutpoint, Fraction.as_integer_ratio
+        return automata._value_blocks(machine, maxlen), _entry(cutpoint), Fraction.as_integer_ratio
     try:
-        threshold = float(cutpoint)
+        threshold = float(Fraction(cutpoint))
     except OverflowError:
         raise ValueError("the cutpoint is past float range, and a quantum machine's values are floats") from None
-    return quantum._value_blocks(machine, maxlen, _BLOCK_STRINGS), threshold, float
+    return quantum._value_blocks(machine, maxlen), threshold, float
 
 
 def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOracle, maxlen: int) -> Fraction:
@@ -279,11 +282,9 @@ def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOra
         raise ValueError(
             f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
         )
-    return Fraction(0) if mode == "nondet" else Fraction(cutpoint)
-
-
-#: The most strings in one block of a string-by-string sweep.
-_BLOCK_STRINGS = 4096
+    # In every mode: a float's binary rounding would be swept as if it were the rational meant.
+    cutpoint = _entry(cutpoint)
+    return Fraction(0) if mode == "nondet" else cutpoint
 
 
 def _verdicts(
@@ -310,75 +311,53 @@ def _verdicts(
     classical machine with a stepping oracle is swept by class, a block
     per length whose ``words`` and ``ids`` are made only as they are
     iterated (see :func:`_class_blocks`); anything else string by string,
-    in the lane's blocks of at most :data:`_BLOCK_STRINGS` (see
-    :func:`_lane`), whose ``words`` and ``ids`` are lists.
+    in the lane's blocks (see :func:`_lane`), whose ``words`` and ``ids``
+    are lists. Either way the lane yields only values and memberships,
+    and one loop here numbers them.
     """
     cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
     claims = _CLAIMS[mode]
     entries: list[tuple[Value, bool, str]] = []
-    numbers: dict = {}
-
-    def decide(value: Value, member: bool, threshold: Value, key) -> int:
-        """Decide a pair not yet numbered, and number it."""
-        sign = _sign(value, threshold, kappa)
-        if sign is None:
-            verdict = "indeterminate"
-        elif claims[sign + 1] == member:
-            verdict = "agree"
-        else:
-            verdict = "disagree"
-        i = numbers[key] = len(entries)
-        entries.append((value, member, verdict))
-        return i
-
     if oracle.stepper is not None and machine.kind != "qfa":
-        blocks = _class_blocks(machine, cutpoint, oracle.stepper, maxlen, numbers, decide)
+        lane, threshold, key_of = _class_blocks(machine, oracle.stepper, maxlen), cutpoint, Fraction.as_integer_ratio
     else:
-        blocks = _string_blocks(*_lane(machine, cutpoint, maxlen), oracle.membership, numbers, decide)
-    return cutpoint, entries, blocks
-
-
-def _string_blocks(blocks, threshold: Value, key_of, membership, numbers: dict, decide) -> Iterator[tuple[list, list]]:
-    """:func:`_verdicts` string by string: each string's membership is asked from scratch.
-
-    The lane's blocks are the sweep's blocks. The pairs of a block that
-    are not yet numbered are decided once each, in the order first met;
-    then its strings are numbered at C level.
-    """
-    for words, values in blocks:
+        blocks, threshold, key_of = _lane(machine, cutpoint, maxlen)
         # The alphabets match (checked with the request), so no per-letter check.
-        keys = list(zip(map(key_of, values), map(bool, map(membership, words))))
-        # Equal keys have equal values, so any one of them can be decided.
-        for key, value in dict(zip(keys, values)).items():
-            if key not in numbers:
-                decide(value, key[1], threshold, key)
-        yield words, list(map(numbers.__getitem__, keys))
+        lane = ((words, values, map(bool, map(oracle.membership, words)), None) for words, values in blocks)
+
+    def numbered() -> Iterator[tuple[Iterable[str], Iterable[int]]]:
+        numbers: dict = {}
+        for words, values, members, classes in lane:
+            keys = list(zip(map(key_of, values), members))
+            # Equal keys have equal values, so any one of them can be decided.
+            for key, value in dict(zip(keys, values)).items():
+                if key not in numbers:
+                    sign, member = _sign(value, threshold, kappa), key[1]
+                    verdict = "indeterminate" if sign is None else "agree" if claims[sign + 1] == member else "disagree"
+                    numbers[key] = len(entries)
+                    entries.append((value, member, verdict))
+            ids = list(map(numbers.__getitem__, keys))
+            # A class block numbers its strings through their classes, as they are iterated.
+            yield words, ids if classes is None else map(ids.__getitem__, classes)
+
+    return cutpoint, entries, numbered()
 
 
-def _class_blocks(
-    machine: ClassicalAutomaton, cutpoint: Fraction, stepper: OracleStepper, maxlen: int, numbers: dict, decide
-) -> Iterator[tuple[Iterator[str], list]]:
-    """:func:`_verdicts` over classes: the strings of one length that reach one exact state and one oracle state.
+def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: int) -> Iterator[tuple]:
+    """A sweep's classes: the strings of one length that reach one exact state and one oracle state.
 
     Such strings share their value and membership, so each class is
-    stepped once per symbol, read out once and numbered once. A length is
-    one block, whose ``ids`` map each string's class to its class's
-    number as they are iterated: a caller that reads only the entries
-    makes no per-string list of numbers. Only one length's classes are
-    kept at a time.
+    stepped once per symbol and read out once. A length is one block
+    ``(words, values, members, ids)``: ``values`` and ``members`` hold
+    each class's value and membership, ``ids`` each string's class, and
+    ``words`` makes the strings only as it is iterated. Only one length's
+    classes are kept at a time.
     """
     table = machine.transitions
     alphabet = machine.alphabet
     steps = [(sym, table[sym]) for sym in alphabet]
     dollar = table[DOLLAR]
     member_of, step_oracle = stepper.member, stepper.step
-
-    def number(state, oracle_state) -> int:
-        value = _readout(machine, dollar.step(state))
-        member = bool(member_of(oracle_state))
-        key = (value.as_integer_ratio(), member)
-        i = numbers.get(key)
-        return decide(value, member, cutpoint, key) if i is None else i
 
     def children(classes: dict, ids: list) -> tuple[dict, list]:
         kids: dict = {}
@@ -401,8 +380,9 @@ def _class_blocks(
             classes, ids = children(classes, ids)
             if not ids:  # no symbols: no string is longer than 0
                 return
-        class_numbers = [number(*c) for c in classes]
-        yield map("".join, itertools.product(alphabet, repeat=length)), map(class_numbers.__getitem__, ids)
+        values = [_readout(machine, dollar.step(state)) for state, _ in classes]
+        members = [bool(member_of(oracle_state)) for _, oracle_state in classes]
+        yield map("".join, itertools.product(alphabet, repeat=length)), values, members, ids
 
 
 def _extremes(entries: list) -> tuple[Value | None, Value | None]:
@@ -413,10 +393,8 @@ def _extremes(entries: list) -> tuple[Value | None, Value | None]:
     )
 
 
-def _scanned(
-    entries: list, blocks, most: int, counterexamples: list, indeterminate: list
-) -> Iterator[tuple[list[str], list[int]]]:
-    """The strings of a sweep's blocks and their entry numbers, as lists of at most ``most``.
+def _scanned(entries: list, blocks, counterexamples: list, indeterminate: list) -> Iterator[tuple[list, list[int]]]:
+    """The strings of a sweep's blocks and their entry numbers, as lists of at most ``BLOCK_STRINGS``.
 
     As the lists come, each string whose entry disagrees is appended to
     ``counterexamples`` and each indeterminate one to ``indeterminate``,
@@ -426,6 +404,7 @@ def _scanned(
     # The numbers of the entries that do not agree, with their list of strings.
     odd: dict[int, list] = {}
     seen = 0
+    most = automata.BLOCK_STRINGS
     for words, ids in blocks:
         for i in range(seen, len(entries)):
             verdict = entries[i][2]
@@ -465,7 +444,7 @@ def sweep(
     counterexamples: list[str] = []
     indeterminate: list[str] = []
     records: list[StringRecord] = []
-    for words, ids in _scanned(entries, blocks, _BLOCK_STRINGS, counterexamples, indeterminate):
+    for words, ids in _scanned(entries, blocks, counterexamples, indeterminate):
         # A record's fields are its string, then its entry's (value, member,
         # verdict); tuple.__new__ is StringRecord._make without a Python call.
         fields = map(operator.add, zip(words), map(entries.__getitem__, ids))
@@ -549,14 +528,15 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Check that sign(f1(w) - cutpoint1) = sign(f2(w) - cutpoint2) for all w.
 
-    The comparison is exact for classical machines; floats within kappa
-    of their cutpoint make the string indeterminate instead of failing.
+    The comparison is exact for classical machines, whose cutpoints may
+    not be floats; floats within kappa of their cutpoint make the string
+    indeterminate instead of failing.
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
-    blocks1, threshold1, _ = _lane(m1, Fraction(cutpoint1), maxlen)
+    blocks1, threshold1, _ = _lane(m1, cutpoint1, maxlen)
     # Enumerating m2 in m1's symbol order lists the same strings in both streams.
-    blocks2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), Fraction(cutpoint2), maxlen)
+    blocks2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), cutpoint2, maxlen)
     # The lanes may cut their blocks at different strings: the streams meet string by string.
     values1, values2 = (itertools.chain.from_iterable(itertools.starmap(zip, b)) for b in (blocks1, blocks2))
     violations = []

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from afalib import cli, quantum, rand, recognition
+from afalib import automata, cli, quantum, rand, recognition
 from afalib.automata import dfa_automaton
 from afalib.cli import main, render_report
 from afalib.constructions import abs_eq, afa_to_nqfa, lapins, m1_eq, m2_eq
@@ -232,10 +232,12 @@ def test_a_non_finite_value_inside_a_block_is_named_in_every_lane(tmp_path, caps
     # value overflows, and the last of the four strings of its block.
     channels = {"a": Superoperator.identity(1), "b": Superoperator((np.array([[1e70]]),))}
     machine = QuantumAutomaton.build(("p",), ("a", "b"), channels, 0, (0,))
-    monkeypatch.setattr(quantum, "BLOCK_FLOATS", 2)
-    monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 5)
     message = "acceptance of 'bbb' is inf, not a finite number"
+    # The sweep's error before the blocks shrink is the one `afa sweep` prints after.
+    with pytest.raises(ValueError, match=message) as unpatched:
+        sweep(machine, Fraction(1, 2), "cutpoint", BUILTIN_ORACLES["eq"](), 3)
+    monkeypatch.setattr(quantum, "BLOCK_FLOATS", 2)
+    monkeypatch.setattr(automata, "BLOCK_STRINGS", 7)
     seen = []
     with pytest.raises(ValueError, match=message):
         for w, _ in quantum.qfa_prefix_values(machine, 3):
@@ -254,7 +256,7 @@ def test_a_non_finite_value_inside_a_block_is_named_in_every_lane(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err == f"error: {unpatched.value}\n"
     assert not out.exists()
 
 
@@ -393,8 +395,7 @@ def test_sweep_command_writes_the_library_report(
     expected = render_report(report).encode()
     if small_blocks:
         monkeypatch.setattr(quantum, "BLOCK_FLOATS", 64)
-        monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 5)
+        monkeypatch.setattr(automata, "BLOCK_STRINGS", 7)
         assert render_report(sweep(machine, Fraction(cutpoint), mode, language, maxlen)).encode() == expected
     argv = ["sweep", str(path), "--cutpoint", cutpoint, "--mode", mode, "--oracle", spec]
     argv += ["--maxlen", str(maxlen)]
@@ -438,11 +439,10 @@ def test_sweep_renders_each_distinct_row_once(tmp_path, m1_path, capsys, monkeyp
         machine, path = afa_to_nqfa(abs_eq()), str(tmp_path / "abs-q.afa")
         save_automaton(machine, path)
         cutpoint, mode, spec, maxlen = "0", "nondet", "abseq", 8
-    # Small blocks and writes, so that the same rows recur across both.
-    monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 5)
     report = sweep(machine, Fraction(cutpoint), mode, BUILTIN_ORACLES[spec](), maxlen)
     expected = render_report(report)
+    # Small blocks and writes, so that the same rows recur across both.
+    monkeypatch.setattr(automata, "BLOCK_STRINGS", 7)
     rendered = []
     row_tail = cli._row_tail
     monkeypatch.setattr(cli, "_row_tail", lambda *args: rendered.append(args[:2]) or row_tail(*args))

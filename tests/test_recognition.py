@@ -10,12 +10,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from afalib import recognition
+from afalib import automata, quantum, recognition
 from afalib.automata import ClassicalAutomaton, dfa_automaton
-from afalib.cli import render_report
-from afalib.constructions import abs_eq, afa_to_nqfa, compile_blind_counters, lapins, m1_eq, m2_eq
+from afalib.cli import main, render_report
+from afalib.constructions import (
+    abs_eq,
+    afa_to_nqfa,
+    compile_blind_counters,
+    lapins,
+    m1_eq,
+    m2_eq,
+    shift_extreme,
+    shift_interior,
+)
 from afalib.exactnum import Mat
-from afalib.fileformat import loads_counter_spec
+from afalib.fileformat import dumps_automaton, loads_counter_spec, save_automaton
 from afalib.quantum import QuantumAutomaton, Superoperator
 from afalib.rand import random_afa, random_qfa
 from afalib.recognition import (
@@ -364,15 +373,107 @@ def test_a_string_record_is_an_immutable_named_row():
     ],
     ids=["afa_to_nqfa(lapins)-nondet", "m1_eq-class", "m1_eq-string"],
 )
-def test_a_sweep_lists_the_strings_its_records_fail(monkeypatch, machine, cutpoint, mode, oracle, maxlen):
+def test_a_sweep_lists_the_strings_its_records_fail(
+    tmp_path, capsys, monkeypatch, machine, cutpoint, mode, oracle, maxlen
+):
+    expected = render_report(sweep(machine, cutpoint, mode, oracle, maxlen))
     # Blocks of 7 strings, so that failing strings fall in some blocks and not in others.
-    monkeypatch.setattr(recognition, "_BLOCK_STRINGS", 7)
+    monkeypatch.setattr(automata, "BLOCK_STRINGS", 7)
     report = sweep(machine, cutpoint, mode, oracle, maxlen)
+    assert render_report(report) == expected
+    # `afa sweep` writes the same bytes under the same small blocks.
+    monkeypatch.setitem(BUILTIN_ORACLES, oracle.name, lambda: oracle)
+    path = tmp_path / "m.afa"
+    save_automaton(machine, path)
+    argv = ["sweep", str(path), "--cutpoint", str(cutpoint), "--mode", mode, "--oracle", oracle.name]
+    assert main([*argv, "--maxlen", str(maxlen)]) == 1
+    assert capsys.readouterr().out == expected
     assert [r.string for r in report.records] == list(enumerate_strings(machine.alphabet, maxlen))
     assert report.counterexamples == tuple(r.string for r in report.records if r.verdict == "disagree")
     assert report.indeterminate == tuple(r.string for r in report.records if r.verdict == "indeterminate")
     assert report.counterexamples and (report.indeterminate or mode != "nondet")
     assert {r.verdict for r in report.records} >= {"agree", "disagree"}
+
+
+@pytest.mark.parametrize("lane", ["class", "string", "quantum"])
+def test_a_sweep_decides_each_distinct_pair_once_in_blocks_of_one_size(monkeypatch, lane):
+    machine, cutpoint, mode, oracle, maxlen = m1_eq(), Fraction(5, 6), "cutpoint", EQ, 8
+    if lane == "string":
+        oracle = replace(EQ, stepper=None)
+    elif lane == "quantum":
+        machine, cutpoint, mode, oracle, maxlen = afa_to_nqfa(abs_eq()), 0, "nondet", BUILTIN_ORACLES["abseq"](), 7
+    monkeypatch.setattr(automata, "BLOCK_STRINGS", 7)
+    decided, lists, blocks = [], [], []
+    sign = recognition._sign
+    monkeypatch.setattr(recognition, "_sign", lambda value, *rest: decided.append(value) or sign(value, *rest))
+    scanned = recognition._scanned
+
+    def spy_scanned(*args):
+        for words, ids in scanned(*args):
+            lists.append(len(words))
+            yield words, ids
+
+    monkeypatch.setattr(recognition, "_scanned", spy_scanned)
+    for module in (automata, quantum):
+
+        def spy_blocks(*args, value_blocks=module._value_blocks):
+            for words, values in value_blocks(*args):
+                blocks.append(len(words))
+                yield words, values
+
+        monkeypatch.setattr(module, "_value_blocks", spy_blocks)
+    report = sweep(machine, cutpoint, mode, oracle, maxlen)
+    pairs = {(r.value, r.member) for r in report.records}
+    assert len(decided) == len(pairs) < len(report.records)
+    assert sorted(decided) == sorted(value for value, _ in pairs)
+    assert max(lists) == 7 and sum(lists) == len(report.records)
+    if lane == "class":
+        assert not blocks
+    else:
+        assert max(blocks) == 7 and sum(blocks) == len(report.records)
+
+
+# The strings over a, b whose letter counts differ by one: m2_eq(1) values them exactly 1/3.
+DIFF_ONE = LanguageOracle("diff-one", "ab", lambda w: abs(w.count("a") - w.count("b")) == 1)
+
+# Each takes one exact cutpoint (or shift target) and returns what it makes of it.
+CUTPOINT_TAKERS = {
+    "sweep": lambda c: sweep(m2_eq(1), c, "equality", DIFF_ONE, 6),
+    "sweep-nondet": lambda c: sweep(m1_eq(), c, "nondet", EQ, 3),
+    "sweep-quantum": lambda c: sweep(afa_to_nqfa(m1_eq()), c, "cutpoint", EQ, 3),
+    "isolation_gap": lambda c: isolation_gap(m1_eq(), c, EQ, 4),
+    "equivalence-first": lambda c: equivalence_check(m1_eq(), c, m2_eq(), Fraction(1, 2), 4),
+    # A quantum machine's cutpoint may be a float; the classical side's may not.
+    "equivalence-second": lambda c: equivalence_check(afa_to_nqfa(m1_eq()), 0.0, m1_eq(), c, 4),
+    "shift_interior-from": lambda c: dumps_automaton(shift_interior(m1_eq(), c, Fraction(1, 2))),
+    "shift_interior-to": lambda c: dumps_automaton(shift_interior(m1_eq(), Fraction(5, 6), c)),
+    "shift_extreme-zero": lambda c: dumps_automaton(shift_extreme(m1_eq(), "zero", c)),
+    "shift_extreme-one": lambda c: dumps_automaton(shift_extreme(m1_eq(), "one", c)),
+}
+
+
+@pytest.mark.parametrize("taker", CUTPOINT_TAKERS)
+@pytest.mark.parametrize("cutpoint", [1 / 3, 0.5, 0.0], ids=repr)
+def test_a_float_cutpoint_is_refused(taker, cutpoint):
+    with pytest.raises(TypeError, match="float"):
+        CUTPOINT_TAKERS[taker](cutpoint)
+
+
+@pytest.mark.parametrize("taker", CUTPOINT_TAKERS)
+@pytest.mark.parametrize("cutpoint", [Fraction(1, 3), "1/3", 1], ids=repr)
+def test_an_exact_cutpoint_is_taken_as_its_fraction(taker, cutpoint):
+    def outcome(c):
+        try:
+            return CUTPOINT_TAKERS[taker](c)
+        except ValueError as exc:  # an int cutpoint is no shift target
+            return repr(exc)
+
+    assert outcome(cutpoint) == outcome(Fraction(cutpoint))
+
+
+def test_an_exact_third_is_the_value_of_every_string_one_letter_off_balance():
+    report = sweep(m2_eq(1), Fraction(1, 3), "equality", DIFF_ONE, 6)
+    assert report.cutpoint == Fraction(1, 3) and report.ok
 
 
 def test_wide_kappa_turns_everything_indeterminate():
