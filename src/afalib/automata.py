@@ -11,7 +11,11 @@ negative entries meaningful.
 
 Evaluation runs on exact integer states (:data:`afalib.exactnum.ExactState`)
 stepped by :meth:`afalib.exactnum.Mat.step`; fractions are built only
-for the values and states this module returns.
+for the values and states this module returns. A value is read off the
+state before the right marker: each machine compiles its ``dollar``
+matrix and its readout into one integer function (``_value``), so the
+state after ``dollar`` is built only by :func:`run` and the literal
+trace of :func:`accept_value_normalized`.
 
 States are referred to by 0-based index everywhere in this module; the
 file format layer maps names to indices.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -32,6 +36,8 @@ from .exactnum import (
     ExactState,
     Mat,
     MatrixKind,
+    _compile_rows,
+    _sum_source,
     basis_vector,
     exact_state,
     l1_norm,
@@ -153,6 +159,36 @@ class ClassicalAutomaton:
                 out += [f"symbol {sym}, column {j}: entry at row {k} is not 0 or 1" for j, k in bad]
         return out
 
+    @cached_property
+    def _value(self) -> Callable[[ExactState], Fraction]:
+        """The acceptance value of the state before ``dollar``, as one compiled integer function.
+
+        ``dollar`` and the readout are fused: with ``dollar`` as integer
+        rows over ``d``, an affine value is ``mass / (mass + rest)`` with
+        ``mass`` the sum of ``abs(row_k . nums)`` over accepting ``k`` and
+        ``rest`` over the others, since the weighting is scale-free; any
+        other value is the accepting rows' summed row, dotted with
+        ``nums``, over ``den * d``. Compiled on first use, by
+        :func:`afalib.exactnum._compile_rows`.
+        """
+        d, rows = self.transitions[DOLLAR].integer_form()
+        accepting = sorted(self.accepting)
+        if self.kind == "afa":
+            mass = [rows[k] for k in accepting if rows[k]]
+            rest = [row for k, row in enumerate(rows) if row and k not in self.accepting]
+
+            def weighting(exprs: list[str]) -> str:
+                absolute = [f"abs({e})" for e in exprs]
+                return f"_weighting({_sum_source(absolute[: len(mass)])}, {_sum_source(absolute[len(mass) :])})"
+
+            return _compile_rows(self.size, mass + rest, weighting, _weighting=_weighting)
+        summed: dict[int, int] = {}
+        for k in accepting:
+            for j, a in rows[k]:
+                summed[j] = summed.get(j, 0) + a
+        row = tuple(sorted((j, a) for j, a in summed.items() if a))
+        return _compile_rows(self.size, [row], lambda exprs: f"Fraction({exprs[0]}, den * d)", Fraction=Fraction, d=d)
+
 
 def _operators(machine, table: Mapping, w: str) -> list:
     """The entries of ``machine``'s ``table`` applied on reading ``cent + w + dollar``, in order."""
@@ -166,11 +202,16 @@ def _initial(machine: ClassicalAutomaton) -> ExactState:
     return exact_state(basis_vector(machine.size, machine.initial))
 
 
-def _final(machine: ClassicalAutomaton, w: str) -> ExactState:
+def _before_dollar(machine: ClassicalAutomaton, w: str) -> ExactState:
+    """The exact state after reading ``cent + w``."""
     state = _initial(machine)
-    for mat in _operators(machine, machine.transitions, w):
+    for mat in _operators(machine, machine.transitions, w)[:-1]:
         state = mat.step(state)
     return state
+
+
+def _final(machine: ClassicalAutomaton, w: str) -> ExactState:
+    return machine.transitions[DOLLAR].step(_before_dollar(machine, w))
 
 
 def run(machine: ClassicalAutomaton, w: str) -> tuple[Fraction, ...]:
@@ -178,14 +219,26 @@ def run(machine: ClassicalAutomaton, w: str) -> tuple[Fraction, ...]:
     return state_vector(_final(machine, w))
 
 
+_ZERO_VECTOR = "the affine state is the zero vector, whose l1 norm is 0"
+
+
 def _l1_numerator(nums: Sequence[int]) -> int:
     norm = sum(map(abs, nums))
     if not norm:
-        raise ValueError("the affine state is the zero vector, whose l1 norm is 0")
+        raise ValueError(_ZERO_VECTOR)
     return norm
 
 
+def _weighting(mass: int, rest: int) -> Fraction:
+    """The weighting readout of absolute masses, ``mass / (mass + rest)``; a zero norm is refused."""
+    norm = mass + rest
+    if not norm:
+        raise ValueError(_ZERO_VECTOR)
+    return Fraction(mass, norm)
+
+
 def _readout(machine: ClassicalAutomaton, state: ExactState) -> Fraction:
+    """The value of the literal state after ``dollar``: the cross-check of ``ClassicalAutomaton._value``."""
     nums, den = state
     if machine.kind == "afa":
         # Weighting: the common denominator cancels between mass and norm.
@@ -197,9 +250,11 @@ def accept_value(machine: ClassicalAutomaton, w: str) -> Fraction:
     """Acceptance value of ``w``, exact, in [0, 1] for valid machines.
 
     Raises ``ValueError`` when an affine machine's final state is the zero
-    vector, which only an invalid machine can reach.
+    vector, which only an invalid machine can reach. The state after
+    ``dollar`` is never built: ``ClassicalAutomaton._value`` reads the
+    value off the state before it.
     """
-    return _readout(machine, _final(machine, w))
+    return machine._value(_before_dollar(machine, w))
 
 
 def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
@@ -294,10 +349,7 @@ def _value_blocks(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[li
     def children(state: ExactState) -> tuple[ExactState, ...]:
         return tuple(mat.step(state) for mat in steps)
 
-    @cache
-    def readout(state: ExactState) -> Fraction:
-        return _readout(machine, table[DOLLAR].step(state))
-
+    readout = cache(machine._value)
     yield from _length_lex(
         machine.alphabet,
         maxlen,

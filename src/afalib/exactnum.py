@@ -36,7 +36,7 @@ ExactState = tuple[tuple[int, ...], int]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Rows with more terms than this compile to one flat sum(); see _compile_rows.
+# Sums of more terms than this compile to one flat sum(); see _sum_source.
 _CHAIN_TERMS = 64
 
 _RATIONAL_FORM = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
@@ -137,15 +137,34 @@ def _nonzeros(lines: Iterable[Iterable], kind: str) -> tuple[int, int, dict[tupl
     return len(data), length, {(i, j): x for i, line in enumerate(data) for j, x in enumerate(line) if x}
 
 
-def _compile_rows(cols: int, rows) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """A straight-line function from numerators to the integer rows' dot products.
+def _sum_source(terms: list[str]) -> str:
+    """Source of the sum of ``terms``: a chain of ``+``, or one flat ``sum`` when long.
 
-    Rows ``((0, 3), (2, -1))`` and ``((1, 7),)`` compile to
-    ``def step(nums): x0, x1, x2, = nums; return (c0*x0 + -x2, c1*x1, )``
+    A chain of thousands of ``+`` nests too deep to compile.
+    """
+    if len(terms) > _CHAIN_TERMS:
+        return f"sum(({', '.join(terms)},))"
+    return " + ".join(terms) or "0"
+
+
+def _tuple_source(exprs: list[str]) -> str:
+    return f"({''.join(e + ', ' for e in exprs)})"
+
+
+def _compile_rows(
+    cols: int, rows, ret: Callable[[list[str]], str] = _tuple_source, **scope
+) -> Callable[[ExactState], object]:
+    """A straight-line function of an exact state that returns ``ret`` of the integer rows' dot products.
+
+    ``ret(exprs)`` writes the return expression from the source of each
+    row's dot product with the numerators, in order; besides ``exprs`` it
+    may use ``den``, the state's denominator, and the names bound in
+    ``scope``. By default it is the tuple of the dot products: rows
+    ``((0, 3), (2, -1))`` and ``((1, 7),)`` compile to
+    ``def kernel(state): (x0, x1, x2, ), den = state; return (c0*x0 + -x2, c1*x1, )``
     with ``c0 = 3`` and ``c1 = 7`` bound as globals: a coefficient is never
     written as digits, which past the int/str digit cap cannot be
-    rendered. A long row is one flat ``sum`` of its terms, because a chain
-    of thousands of ``+`` nests too deep to compile.
+    rendered. Each row is a :func:`_sum_source` of its terms.
     """
     names: dict[int, str] = {}  # coefficient -> the global bound to it
 
@@ -156,23 +175,17 @@ def _compile_rows(cols: int, rows) -> Callable[[tuple[int, ...]], tuple[int, ...
             return f"-x{j}"
         return f"{names.setdefault(a, f'c{len(names)}')}*x{j}"
 
-    exprs = []
-    for row in rows:
-        terms = [term(j, a) for j, a in row]
-        if len(terms) > _CHAIN_TERMS:
-            exprs.append(f"sum(({', '.join(terms)},))")
-        else:
-            exprs.append(" + ".join(terms) or "0")
+    exprs = [_sum_source([term(j, a) for j, a in row]) for row in rows]
     source = (
-        "def step(nums):\n"
-        f" {''.join(f'x{j}, ' for j in range(cols))}= nums\n"
-        f" return ({''.join(e + ', ' for e in exprs)})\n"
+        "def kernel(state):\n"
+        f" ({''.join(f'x{j}, ' for j in range(cols))}), den = state\n"
+        f" return {ret(exprs)}\n"
     )
-    scope = {name: a for a, name in names.items()}
+    scope.update((name, a) for a, name in names.items())
     exec(source, scope)
     # Popped, so the function and its globals form no reference cycle and
-    # go as soon as their matrix does.
-    return scope.pop("step")
+    # go as soon as their owner does.
+    return scope.pop("kernel")
 
 
 class Mat:
@@ -279,7 +292,7 @@ class Mat:
         if kernel is None:
             kernel = _compile_rows(self.cols, self._form[1])
             object.__setattr__(self, "_kernel", kernel)
-        out = kernel(nums)
+        out = kernel(state)
         den *= self._form[0]
         g = math.gcd(*out, den)
         if g == 1:

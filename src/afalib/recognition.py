@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
 from . import automata, quantum
-from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial, _readout
+from .automata import CENT, DOLLAR, ClassicalAutomaton, _initial
 from .exactnum import _entry
 from .quantum import DEFAULT_KAPPA, QuantumAutomaton
 
@@ -193,6 +193,14 @@ def _corpus_size(symbols: int, maxlen: int) -> int:
     return total
 
 
+def _check_corpus(alphabet: tuple[str, ...], maxlen: int) -> None:
+    """Refuse a negative ``maxlen`` and a corpus of more than :data:`SWEEP_CAP` strings."""
+    if maxlen < 0:
+        raise ValueError("maxlen must be nonnegative")
+    if _corpus_size(len(alphabet), maxlen) > SWEEP_CAP:
+        raise ValueError(f"a sweep to length {maxlen} over {len(alphabet)} symbol(s) has more than {SWEEP_CAP} strings")
+
+
 def _sign(value: Value, cutpoint: Value, kappa: float) -> int | None:
     """Three-way sign of value - cutpoint; None when a float is within kappa."""
     if isinstance(value, float):
@@ -276,12 +284,7 @@ def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOra
         raise ValueError(
             f"alphabet mismatch: machine {machine.alphabet} vs oracle {oracle.alphabet}"
         )
-    if maxlen < 0:
-        raise ValueError("maxlen must be nonnegative")
-    if _corpus_size(len(machine.alphabet), maxlen) > SWEEP_CAP:
-        raise ValueError(
-            f"a sweep to length {maxlen} over {len(machine.alphabet)} symbol(s) has more than {SWEEP_CAP} strings"
-        )
+    _check_corpus(machine.alphabet, maxlen)
     # In every mode: a float's binary rounding would be swept as if it were the rational meant.
     cutpoint = _entry(cutpoint)
     return Fraction(0) if mode == "nondet" else cutpoint
@@ -356,7 +359,7 @@ def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: i
     table = machine.transitions
     alphabet = machine.alphabet
     steps = [(sym, table[sym]) for sym in alphabet]
-    dollar = table[DOLLAR]
+    value = machine._value
     member_of, step_oracle = stepper.member, stepper.step
 
     def children(classes: dict, ids: list) -> tuple[dict, list]:
@@ -380,7 +383,7 @@ def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: i
             classes, ids = children(classes, ids)
             if not ids:  # no symbols: no string is longer than 0
                 return
-        values = [_readout(machine, dollar.step(state)) for state, _ in classes]
+        values = [value(state) for state, _ in classes]
         members = [bool(member_of(oracle_state)) for _, oracle_state in classes]
         yield map("".join, itertools.product(alphabet, repeat=length)), values, members, ids
 
@@ -530,10 +533,13 @@ def equivalence_check(
 
     The comparison is exact for classical machines, whose cutpoints may
     not be floats; floats within kappa of their cutpoint make the string
-    indeterminate instead of failing.
+    indeterminate instead of failing. A corpus of more than
+    :data:`SWEEP_CAP` strings raises ``ValueError`` before any string is
+    evaluated, as in :func:`sweep`.
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
+    _check_corpus(m1.alphabet, maxlen)
     blocks1, threshold1, _ = _lane(m1, cutpoint1, maxlen)
     # Enumerating m2 in m1's symbol order lists the same strings in both streams.
     blocks2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), cutpoint2, maxlen)

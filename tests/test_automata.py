@@ -1,6 +1,7 @@
 """Tests for machine containers, evaluation and the weighting readout."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,10 @@ from afalib.automata import (
     CENT,
     DOLLAR,
     ClassicalAutomaton,
+    CounterMachineSpec,
+    _before_dollar,
+    _initial,
+    _readout,
     accept_value,
     accept_value_normalized,
     dfa_automaton,
@@ -19,9 +24,27 @@ from afalib.automata import (
     run,
     weigh_partition,
 )
-from afalib.constructions import abs_eq, lapins, m1_eq, m2_eq
+from afalib.constructions import (
+    abs_eq,
+    compile_blind_counters,
+    exclusive_pfa_to_nafa,
+    lapins,
+    m1_eq,
+    m2_eq,
+    shift_extreme,
+    shift_interior,
+)
 from afalib.exactnum import Mat, basis_vector, l1_norm, vec
 from afalib.rand import random_afa, random_pfa, random_qfa
+from afalib.recognition import LanguageOracle, OracleStepper, sweep
+
+# The unary language of even lengths, with a stepper, so a sweep goes by class.
+EVEN = LanguageOracle(
+    "even",
+    ("a",),
+    lambda w: len(w) % 2 == 0,
+    OracleStepper(0, lambda parity, _: 1 - parity, lambda parity: parity == 0),
+)
 
 
 def doubling_machine():
@@ -244,6 +267,11 @@ def test_zero_state_readouts_raise_value_error():
             evaluate(m, "a")
     with pytest.raises(ValueError, match="zero vector"):
         list(prefix_values(m, 1))
+    # Both sweep lanes read values through the same kernel: a class of the
+    # stepping oracle, and a string of the oracle without its stepper.
+    for oracle in (EVEN, replace(EVEN, stepper=None)):
+        with pytest.raises(ValueError, match="zero vector"):
+            sweep(m, Fraction(1, 2), "cutpoint", oracle, 1)
 
 
 def test_dfa_automaton_builder_runs_by_name():
@@ -297,12 +325,15 @@ def test_prefix_values_steps_each_distinct_state_once(monkeypatch):
             everything.add(v)
             if n < maxlen:
                 shorter.add(v)
-    calls = []
-    real_step = Mat.step
+    calls, readouts = [], []
+    real_step, real_value = Mat.step, m._value
     monkeypatch.setattr(Mat, "step", lambda mat, state: calls.append(1) or real_step(mat, state))
+    vars(m)["_value"] = lambda state: readouts.append(1) or real_value(state)
     assert len(list(prefix_values(m, maxlen))) == 2 ** (maxlen + 1) - 1
-    # cent once, dollar per distinct state, each letter per distinct shorter state.
-    assert len(calls) == 1 + len(everything) + len(m.alphabet) * len(shorter)
+    # cent once and each letter per distinct shorter state; dollar is
+    # never stepped, as the value is read once per distinct state before it.
+    assert len(calls) == 1 + len(m.alphabet) * len(shorter)
+    assert len(readouts) == len(everything)
 
 
 # ------------------------------------------- kernel against a Mat.apply loop
@@ -351,6 +382,92 @@ def test_kernel_matches_a_plain_apply_loop(name):
         if m.kind == "afa":
             normalized = plain_trace(m, w, normalize=True)
             assert accept_value_normalized(m, w) == sum(abs(normalized[k]) for k in m.accepting)
+
+
+# ----------------------------------------- fused dollar against the literal path
+
+
+def _counter_with_a_swapping_dollar():
+    # The controller dies on b, and its dollar swaps alive and dead, so
+    # the compiled machine's dollar is kron(swap, I), not the identity.
+    swap = Mat([[0, 1], [1, 0]])
+    controller = ClassicalAutomaton.build(
+        "dfa",
+        ("alive", "dead"),
+        ("a", "b"),
+        {"a": Mat.identity(2), "b": Mat([[0, 0], [1, 1]]), DOLLAR: swap},
+        0,
+        (1,),
+    )
+    increments = {(0, "a"): (1,), (0, "b"): (-1,), (1, "a"): (0,), (1, "b"): (0,)}
+    return compile_blind_counters(CounterMachineSpec(controller, 1, increments, Fraction(2)))
+
+
+DOLLAR_CASES = {
+    "shift-interior": lambda: shift_interior(m1_eq(), Fraction(5, 6), Fraction(1, 2)),
+    "shift-extreme-zero": lambda: shift_extreme(abs_eq(), "zero", Fraction(2, 5)),
+    "shift-extreme-one": lambda: shift_extreme(m1_eq(), "one", Fraction(3, 4)),
+    "exclusive": lambda: exclusive_pfa_to_nafa(random_pfa(random.Random(5), 3)),
+    "counters": _counter_with_a_swapping_dollar,
+    **{f"afa-{seed}": (lambda seed=seed: random_afa(random.Random(seed), 2 + seed)) for seed in range(3)},
+    **{f"pfa-{seed}": (lambda seed=seed: random_pfa(random.Random(seed), 2 + seed)) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(DOLLAR_CASES), "dfa", "pfa-no-accepting"])
+def test_the_fused_value_is_the_readout_of_the_stepped_dollar(name):
+    if name == "dfa":
+        moves = {("p", "a"): "q", ("q", "a"): "p", ("p", "b"): "p", ("q", "b"): "q"}
+        m = dfa_automaton(("p", "q"), ("a", "b"), moves, "p", ("q",))
+    elif name == "pfa-no-accepting":
+        m = replace(random_pfa(random.Random(9), 3), accepting=frozenset())
+    else:
+        m = DOLLAR_CASES[name]()
+        assert m.transitions[DOLLAR] != Mat.identity(m.size)
+    states = {_initial(m)}
+    for n in range(5):
+        states.update(_before_dollar(m, "".join(p)) for p in product(m.alphabet, repeat=n))
+    for state in states:
+        value = m._value(state)
+        assert type(value) is Fraction
+        assert value == _readout(m, m.transitions[DOLLAR].step(state))
+    if name == "pfa-no-accepting":
+        assert all(m._value(state) == 0 for state in states)
+
+
+def _wide_machine(kind: str, n: int = 3001):
+    """An ``n``-state unary machine whose dollar has a 5,000-digit entry and a dense accepting row.
+
+    ``cent`` spreads the first basis vector over every state, and ``a``
+    doubles each entry and takes it from the next state. ``dollar``
+    weighs every entry into the accepting state 0 and negates each other
+    entry in place, so its accepting row has ``n`` terms and each of the
+    ``n - 1`` other rows is nonzero.
+    """
+    big = 10**4999 + 7
+    cent = {(0, 0): 1, **{(k, 0): 1 - 2 * (k % 2) for k in range(1, n)}}
+    cent.update(((j, j), 1) for j in range(1, n))
+    step = {(j, j): 2 for j in range(n)}
+    step.update((((j + 1) % n, j), -1) for j in range(n))
+    dollar = {(0, 0): big, (1, 0): 1 - big}
+    dollar.update(((0, j), 2) for j in range(1, n))
+    dollar.update(((j, j), -1) for j in range(1, n))
+    matrices = {name: Mat._sparse(n, n, entries) for name, entries in (("a", step), (CENT, cent), (DOLLAR, dollar))}
+    return ClassicalAutomaton.build(kind, [f"s{k}" for k in range(n)], ("a",), matrices, 0, (0,))
+
+
+@pytest.mark.parametrize("kind", ["afa", "pfa"])
+def test_a_wide_dollar_with_a_huge_entry_compiles_and_matches_the_literal_path(kind):
+    m = _wide_machine(kind)
+    assert m.transitions[DOLLAR][0, 0] == 10**4999 + 7  # past the int/str digit cap
+    assert len(m.transitions[DOLLAR].integer_form()[1][0]) == m.size
+    words = ["a" * n for n in range(4)]
+    literal = [_readout(m, m.transitions[DOLLAR].step(_before_dollar(m, w))) for w in words]
+    assert list(prefix_values(m, 3)) == list(zip(words, literal))
+    assert [accept_value(m, w) for w in words] == literal
+    report = sweep(m, Fraction(1, 2), "cutpoint", EVEN, 3)
+    assert [(r.string, r.value) for r in report.records] == list(zip(words, literal))
+    assert all(type(value) is Fraction for value in literal)
 
 
 # ------------------------------------------------- normalized evaluation

@@ -646,3 +646,35 @@ def test_equivalence_requires_matching_alphabet_sets():
     q = random_qfa(rng, n=2, alphabet=("x", "y"))
     with pytest.raises(ValueError):
         equivalence_check(m1_eq(), Fraction(1, 2), q, 0.5, 3)
+
+
+@pytest.mark.parametrize(
+    "lane1, lane2",
+    [(_exact, _exact), (afa_to_nqfa, _exact), (_exact, afa_to_nqfa)],
+    ids=["exact", "quantum-exact", "exact-quantum"],
+)
+def test_equivalence_refuses_oversized_and_negative_corpora_before_any_evaluation(monkeypatch, lane1, lane2):
+    m1, m2 = lane1(m1_eq()), lane2(m1_eq())
+
+    def refuse(*args):
+        raise AssertionError("no string may be evaluated")
+
+    # Either lane fails the test as soon as it is asked for a value.
+    monkeypatch.setattr(automata, "_value_blocks", refuse)
+    monkeypatch.setattr(quantum, "_value_blocks", refuse)
+    with pytest.raises(ValueError, match="more than 1000000 strings"):
+        equivalence_check(m1, Fraction(1, 2), m2, Fraction(1, 2), 10**9)
+    # 2**20 - 1 strings to length 19: the shortest length past the cap.
+    with pytest.raises(ValueError, match="more than 1000000 strings"):
+        equivalence_check(m1, Fraction(1, 2), m2, Fraction(1, 2), 19)
+    with pytest.raises(ValueError, match="maxlen must be nonnegative"):
+        equivalence_check(m1, Fraction(1, 2), m2, Fraction(1, 2), -1)
+
+
+def test_equivalence_cap_leaves_smaller_corpora_alone():
+    # 524,287 strings to length 18 are within the cap.
+    report = equivalence_check(m1_eq(), Fraction(1, 2), m1_eq(), Fraction(1, 2), 18)
+    assert report.equivalent and report.maxlen == 18
+    # Over no symbols, any length is the empty string alone.
+    empty = ClassicalAutomaton.build("dfa", ("p",), (), {}, 0, (0,))
+    assert equivalence_check(empty, Fraction(1, 2), empty, Fraction(1, 2), 10**9).equivalent
