@@ -21,7 +21,7 @@ from .automata import _final, _readout, accept_value_normalized
 from .exactnum import RationalParseError, parse_rational, render_rational, state_vector
 from .fileformat import dumps_automaton, load_automaton, load_counter_spec
 from .quantum import DEFAULT_KAPPA, qfa_accept, qfa_final_density
-from .recognition import BUILTIN_ORACLES, SweepReport, _extremes, _scanned, _verdicts, dfa_oracle
+from .recognition import BUILTIN_ORACLES, SweepReport, _sweep, dfa_oracle
 
 USAGE_ERROR = 2
 CLAIM_FAILED = 1
@@ -150,25 +150,24 @@ def render_report(report: SweepReport) -> str:
 def cmd_sweep(args) -> int:
     machine = load_automaton(args.path)
     oracle = _resolve_oracle(args.oracle)
-    mode, maxlen, kappa = args.mode, args.maxlen, args.kappa
-    cutpoint, entries, blocks = _verdicts(machine, args.cutpoint, mode, oracle, maxlen, kappa)
+    kappa = args.kappa
     # The report of render_report(sweep(...)), without a record per string.
     # tails[i] is the row tail of entries[i], rendered once, before the
-    # first chunk that uses it; a chunk's rows are joined at C level from
-    # its strings and their tails. The chunks are kept and written at the
-    # end, so a sweep that fails part-way writes nothing.
+    # first list that uses it; a list's rows are joined at C level from
+    # its strings and their tails. The joined rows are kept and written at
+    # the end, so a sweep that fails part-way writes nothing.
     tails: list[str] = []
-    counterexamples: list[str] = []
-    indeterminate: list[str] = []
     parts = [_REPORT_HEADER]
     strings = 0
-    for words, ids in _scanned(entries, blocks, counterexamples, indeterminate):
-        tails += (_row_tail(*entry, kappa) for entry in entries[len(tails) :])
+
+    def take(words: list[str], ids: list[int], entries: list) -> None:
+        nonlocal strings
+        tails.extend(_row_tail(*entry, kappa) for entry in entries[len(tails) :])
         parts.append("".join(map(operator.add, words, map(tails.__getitem__, ids))))
         strings += len(ids)
+
     # The rows are rendered already: the report holds only the aggregates.
-    low, high = _extremes(entries)
-    report = SweepReport(mode, cutpoint, maxlen, kappa, (), tuple(counterexamples), tuple(indeterminate), low, high)
+    report = _sweep(machine, args.cutpoint, args.mode, oracle, args.maxlen, kappa, take)
     parts.append(_render_aggregates(report, strings))
     _write(parts, args.out)
     return 0 if report.ok else CLAIM_FAILED

@@ -290,60 +290,87 @@ def _checked_cutpoint(machine: Machine, cutpoint, mode: str, oracle: LanguageOra
     return Fraction(0) if mode == "nondet" else cutpoint
 
 
-def _verdicts(
+def _sweep(
     machine: Machine,
     cutpoint,
     mode: str,
     oracle: LanguageOracle,
     maxlen: int,
     kappa: float,
-) -> tuple[Fraction, list[tuple[Value, bool, str]], Iterator[tuple[Iterable[str], Iterable[int]]]]:
-    """A sweep's checked cutpoint, its verdict entries and its blocks of strings.
+    take: Callable[[list[str], list[int], list[tuple[Value, bool, str]]], None] | None,
+) -> SweepReport:
+    """The one sweep driver: a sweep's report, with no records, once ``take`` has seen every string.
 
     The request is checked here, before any string is evaluated. Each
     distinct (value, member) pair of the sweep is decided once, keyed as
     :func:`_lane` says, and numbered in the order first met: ``entries``
     lists ``(value, member, verdict)`` by number and keeps one of the
     pair's values, which are all equal: exact values are keyed exactly,
-    and the float lane yields no ``-0.0``. It grows as the blocks are
-    drawn, and holds every number of a block by the time the block comes.
+    and the float lane yields no ``-0.0``.
 
-    A block ``(words, ids)`` holds consecutive strings: ``words`` iterates
-    over them once, in order, and ``ids`` over the numbers of their
-    entries, as many. Blocks come in length-lexicographic order. A
-    classical machine with a stepping oracle is swept by class, a block
-    per length whose ``words`` and ``ids`` are made only as they are
-    iterated (see :func:`_class_blocks`); anything else string by string,
-    in the lane's blocks (see :func:`_lane`), whose ``words`` and ``ids``
-    are lists. Either way the lane yields only values and memberships,
-    and one loop here numbers them.
+    The strings come in length-lexicographic order, in lists of at most
+    :data:`~afalib.automata.BLOCK_STRINGS`; ``take(words, ids, entries)``
+    is called once per list with its strings, the number of each one's
+    entry and the entries numbered so far. A classical machine with a
+    stepping oracle is swept by class, a length at a time (see
+    :func:`_class_blocks`), and a length's strings are made and numbered
+    only a list at a time; anything else string by string, in the lane's
+    blocks (see :func:`_lane`). Either way the lane yields only values and
+    memberships, and one loop here numbers them and collects the strings
+    whose entry does not agree. With no ``take``, only the entries are
+    wanted: no string is made or collected, and the report lists no
+    counterexample or indeterminate string.
     """
     cutpoint = _checked_cutpoint(machine, cutpoint, mode, oracle, maxlen)
     claims = _CLAIMS[mode]
-    entries: list[tuple[Value, bool, str]] = []
     if oracle.stepper is not None and machine.kind != "qfa":
         lane, threshold, key_of = _class_blocks(machine, oracle.stepper, maxlen), cutpoint, Fraction.as_integer_ratio
     else:
         blocks, threshold, key_of = _lane(machine, cutpoint, maxlen)
         # The alphabets match (checked with the request), so no per-letter check.
         lane = ((words, values, map(bool, map(oracle.membership, words)), None) for words, values in blocks)
-
-    def numbered() -> Iterator[tuple[Iterable[str], Iterable[int]]]:
-        numbers: dict = {}
-        for words, values, members, classes in lane:
-            keys = list(zip(map(key_of, values), members))
-            # Equal keys have equal values, so any one of them can be decided.
-            for key, value in dict(zip(keys, values)).items():
-                if key not in numbers:
-                    sign, member = _sign(value, threshold, kappa), key[1]
-                    verdict = "indeterminate" if sign is None else "agree" if claims[sign + 1] == member else "disagree"
-                    numbers[key] = len(entries)
-                    entries.append((value, member, verdict))
-            ids = list(map(numbers.__getitem__, keys))
-            # A class block numbers its strings through their classes, as they are iterated.
-            yield words, ids if classes is None else map(ids.__getitem__, classes)
-
-    return cutpoint, entries, numbered()
+    entries: list[tuple[Value, bool, str]] = []
+    numbers: dict = {}
+    counterexamples: list[str] = []
+    indeterminate: list[str] = []
+    # The numbers of the entries that do not agree, with the list their strings go to.
+    odd: dict[int, list[str]] = {}
+    most = automata.BLOCK_STRINGS
+    for words, values, members, classes in lane:
+        keys = list(zip(map(key_of, values), members))
+        # Equal keys have equal values, so any one of them can be decided.
+        for key, value in dict(zip(keys, values)).items():
+            if key not in numbers:
+                sign, member = _sign(value, threshold, kappa), key[1]
+                verdict = "indeterminate" if sign is None else "agree" if claims[sign + 1] == member else "disagree"
+                if verdict != "agree":
+                    odd[len(entries)] = counterexamples if verdict == "disagree" else indeterminate
+                numbers[key] = len(entries)
+                entries.append((value, member, verdict))
+        if take is None:
+            continue
+        ids = list(map(numbers.__getitem__, keys))
+        # A class block numbers its strings through their classes, as they are cut.
+        words, ids = iter(words), iter(ids if classes is None else map(ids.__getitem__, classes))
+        while part := list(itertools.islice(ids, most)):
+            chunk = list(itertools.islice(words, len(part)))
+            # Only a list that holds an entry that does not agree is scanned string by string.
+            if odd and not odd.keys().isdisjoint(part):
+                for w, i in zip(chunk, part):
+                    if i in odd:
+                        odd[i].append(w)
+            take(chunk, part, entries)
+    return SweepReport(
+        mode,
+        cutpoint,
+        maxlen,
+        kappa,
+        (),
+        tuple(counterexamples),
+        tuple(indeterminate),
+        min((v for v, member, _ in entries if member), default=None),
+        max((v for v, member, _ in entries if not member), default=None),
+    )
 
 
 def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: int) -> Iterator[tuple]:
@@ -388,42 +415,6 @@ def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: i
         yield map("".join, itertools.product(alphabet, repeat=length)), values, members, ids
 
 
-def _extremes(entries: list) -> tuple[Value | None, Value | None]:
-    """The least member value and the greatest non-member value among a sweep's entries."""
-    return (
-        min((v for v, member, _ in entries if member), default=None),
-        max((v for v, member, _ in entries if not member), default=None),
-    )
-
-
-def _scanned(entries: list, blocks, counterexamples: list, indeterminate: list) -> Iterator[tuple[list, list[int]]]:
-    """The strings of a sweep's blocks and their entry numbers, as lists of at most ``BLOCK_STRINGS``.
-
-    As the lists come, each string whose entry disagrees is appended to
-    ``counterexamples`` and each indeterminate one to ``indeterminate``,
-    in order. Only a list that holds the number of such an entry is
-    scanned string by string.
-    """
-    # The numbers of the entries that do not agree, with their list of strings.
-    odd: dict[int, list] = {}
-    seen = 0
-    most = automata.BLOCK_STRINGS
-    for words, ids in blocks:
-        for i in range(seen, len(entries)):
-            verdict = entries[i][2]
-            if verdict != "agree":
-                odd[i] = counterexamples if verdict == "disagree" else indeterminate
-        seen = len(entries)
-        words, ids = iter(words), iter(ids)
-        while part := list(itertools.islice(ids, most)):
-            chunk = list(itertools.islice(words, len(part)))
-            if odd and not odd.keys().isdisjoint(part):
-                for w, i in zip(chunk, part):
-                    if i in odd:
-                        odd[i].append(w)
-            yield chunk, part
-
-
 def sweep(
     machine: Machine,
     cutpoint,
@@ -443,27 +434,15 @@ def sweep(
     :data:`SWEEP_CAP` strings raises ``ValueError`` before any string is
     evaluated.
     """
-    cutpoint, entries, blocks = _verdicts(machine, cutpoint, mode, oracle, maxlen, kappa)
-    counterexamples: list[str] = []
-    indeterminate: list[str] = []
     records: list[StringRecord] = []
-    for words, ids in _scanned(entries, blocks, counterexamples, indeterminate):
+
+    def take(words: list[str], ids: list[int], entries: list) -> None:
         # A record's fields are its string, then its entry's (value, member,
         # verdict); tuple.__new__ is StringRecord._make without a Python call.
         fields = map(operator.add, zip(words), map(entries.__getitem__, ids))
-        records += map(tuple.__new__, itertools.repeat(StringRecord), fields)
-    low, high = _extremes(entries)
-    return SweepReport(
-        mode,
-        cutpoint,
-        maxlen,
-        kappa,
-        tuple(records),
-        counterexamples=tuple(counterexamples),
-        indeterminate=tuple(indeterminate),
-        min_member_value=low,
-        max_nonmember_value=high,
-    )
+        records.extend(map(tuple.__new__, itertools.repeat(StringRecord), fields))
+
+    return replace(_sweep(machine, cutpoint, mode, oracle, maxlen, kappa, take), records=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -493,13 +472,10 @@ def isolation_gap(
     """Measure how far machine values stay from a cutpoint, per oracle side.
 
     Checks the request as :func:`sweep` does, but keeps no record per
-    string: the extremes are read off the sweep's verdict entries.
+    string: the extremes are those of the sweep's report.
     """
-    cutpoint, entries, blocks = _verdicts(machine, cutpoint, "isolation", oracle, maxlen, kappa)
-    # The blocks fill the entries as they come; their strings are not needed.
-    for _ in blocks:
-        pass
-    low, high = _extremes(entries)
+    report = _sweep(machine, cutpoint, "isolation", oracle, maxlen, kappa, None)
+    cutpoint, low, high = report.cutpoint, report.min_member_value, report.max_nonmember_value
     gap = None
     if low is not None and high is not None:
         radius = min(low - cutpoint, cutpoint - high)
@@ -540,9 +516,12 @@ def equivalence_check(
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
     _check_corpus(m1.alphabet, maxlen)
+    if m2.alphabet != m1.alphabet:
+        # Enumerating m2 in m1's symbol order lists the same strings in both
+        # streams; a copy compiles its kernels again, so only when needed.
+        m2 = replace(m2, alphabet=m1.alphabet)
     blocks1, threshold1, _ = _lane(m1, cutpoint1, maxlen)
-    # Enumerating m2 in m1's symbol order lists the same strings in both streams.
-    blocks2, threshold2, _ = _lane(replace(m2, alphabet=m1.alphabet), cutpoint2, maxlen)
+    blocks2, threshold2, _ = _lane(m2, cutpoint2, maxlen)
     # The lanes may cut their blocks at different strings: the streams meet string by string.
     values1, values2 = (itertools.chain.from_iterable(itertools.starmap(zip, b)) for b in (blocks1, blocks2))
     violations = []

@@ -406,14 +406,18 @@ def test_a_sweep_decides_each_distinct_pair_once_in_blocks_of_one_size(monkeypat
     decided, lists, blocks = [], [], []
     sign = recognition._sign
     monkeypatch.setattr(recognition, "_sign", lambda value, *rest: decided.append(value) or sign(value, *rest))
-    scanned = recognition._scanned
+    driver = recognition._sweep
 
-    def spy_scanned(*args):
-        for words, ids in scanned(*args):
+    def spy_sweep(*args):
+        *request, take = args
+
+        def spy_take(words, ids, entries):
             lists.append(len(words))
-            yield words, ids
+            take(words, ids, entries)
 
-    monkeypatch.setattr(recognition, "_scanned", spy_scanned)
+        return driver(*request, spy_take)
+
+    monkeypatch.setattr(recognition, "_sweep", spy_sweep)
     for module in (automata, quantum):
 
         def spy_blocks(*args, value_blocks=module._value_blocks):
@@ -555,16 +559,30 @@ def test_a_class_sweep_steps_the_oracle_by_symbol_not_by_position():
 @pytest.mark.parametrize(
     "machine, oracle, maxlen",
     [
-        (m1_eq(), "eq", 8),
-        (m2_eq(3), "eq", 8),
-        (abs_eq(), "abseq", 8),
-        (lapins(), "lapins", 5),
-        (afa_to_nqfa(abs_eq()), "abseq", 6),
+        (m1_eq(), EQ, 8),
+        (m2_eq(3), EQ, 8),
+        (abs_eq(), BUILTIN_ORACLES["abseq"](), 8),
+        (lapins(), BUILTIN_ORACLES["lapins"](), 5),
+        (afa_to_nqfa(abs_eq()), BUILTIN_ORACLES["abseq"](), 6),
+        # Classical machines swept string by string: oracles without a stepper.
+        (m1_eq(), _string_path(EQ), 8),
+        (m2_eq(3), _string_path(EQ), 8),
+        (abs_eq(), _string_path(BUILTIN_ORACLES["abseq"]()), 8),
+        (lapins(), _string_path(BUILTIN_ORACLES["lapins"]()), 5),
     ],
-    ids=["m1_eq", "m2_eq(3)", "abs_eq", "lapins", "afa_to_nqfa(abs_eq)"],
+    ids=[
+        "m1_eq",
+        "m2_eq(3)",
+        "abs_eq",
+        "lapins",
+        "afa_to_nqfa(abs_eq)",
+        "m1_eq-string",
+        "m2_eq(3)-string",
+        "abs_eq-string",
+        "lapins-string",
+    ],
 )
 def test_isolation_gap_reads_the_extremes_of_the_sweep(machine, oracle, maxlen):
-    oracle = BUILTIN_ORACLES[oracle]()
     report = sweep(machine, 0, "isolation", oracle, maxlen)
     low, high = report.min_member_value, report.max_nonmember_value
     # Midway between the extremes, twice the radius is the sweep's gap.
@@ -629,6 +647,15 @@ def test_equivalence_aligns_reordered_alphabets(lane1, lane2):
             assert (got.violations, got.indeterminate) == (want.violations, want.indeterminate)
             violations += len(got.violations)
     assert violations
+
+
+@pytest.mark.parametrize("lane", [_exact, afa_to_nqfa], ids=["exact", "quantum"])
+def test_equivalence_keeps_the_compiled_kernel_of_a_machine_in_the_same_order(lane):
+    m2 = lane(m1_eq())
+    report = equivalence_check(m1_eq(), Fraction(1, 2), m2, Fraction(1, 2), 4)
+    assert report.maxlen == 4
+    # Same symbol order, so no copy: the kernel compiled for the call stays on m2.
+    assert ("_block" if m2.kind == "qfa" else "_value") in vars(m2)
 
 
 def test_equivalence_flags_float_values_within_kappa_of_their_cutpoint():
