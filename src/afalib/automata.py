@@ -160,16 +160,18 @@ class ClassicalAutomaton:
         return out
 
     @cached_property
-    def _value(self) -> Callable[[ExactState], Fraction]:
+    def _value(self) -> Callable[[ExactState], tuple[int, int]]:
         """The acceptance value of the state before ``dollar``, as one compiled integer function.
 
-        ``dollar`` and the readout are fused: with ``dollar`` as integer
-        rows over ``d``, an affine value is ``mass / (mass + rest)`` with
-        ``mass`` the sum of ``abs(row_k . nums)`` over accepting ``k`` and
-        ``rest`` over the others, since the weighting is scale-free; any
-        other value is the accepting rows' summed row, dotted with
-        ``nums``, over ``den * d``. Compiled on first use, by
-        :func:`afalib.exactnum._compile_rows`.
+        It returns the value as an unreduced integer pair ``(num, den)``
+        with ``den > 0``, so that a caller can decide a sign without a
+        gcd; ``Fraction(num, den)`` is the value. ``dollar`` and the
+        readout are fused: with ``dollar`` as integer rows over ``d``, an
+        affine value is ``(mass, mass + rest)`` with ``mass`` the sum of
+        ``abs(row_k . nums)`` over accepting ``k`` and ``rest`` over the
+        others, since the weighting is scale-free; any other value is the
+        accepting rows' summed row, dotted with ``nums``, over ``den * d``.
+        Compiled on first use, by :func:`afalib.exactnum._compile_rows`.
         """
         d, rows = self.transitions[DOLLAR].integer_form()
         accepting = sorted(self.accepting)
@@ -187,7 +189,7 @@ class ClassicalAutomaton:
             for j, a in rows[k]:
                 summed[j] = summed.get(j, 0) + a
         row = tuple(sorted((j, a) for j, a in summed.items() if a))
-        return _compile_rows(self.size, [row], lambda exprs: f"Fraction({exprs[0]}, den * d)", Fraction=Fraction, d=d)
+        return _compile_rows(self.size, [row], lambda exprs: f"({exprs[0]}, den * d)", d=d)
 
 
 def _operators(machine, table: Mapping, w: str) -> list:
@@ -229,12 +231,12 @@ def _l1_numerator(nums: Sequence[int]) -> int:
     return norm
 
 
-def _weighting(mass: int, rest: int) -> Fraction:
-    """The weighting readout of absolute masses, ``mass / (mass + rest)``; a zero norm is refused."""
+def _weighting(mass: int, rest: int) -> tuple[int, int]:
+    """The weighting readout of absolute masses, ``(mass, mass + rest)``; a zero norm is refused."""
     norm = mass + rest
     if not norm:
         raise ValueError(_ZERO_VECTOR)
-    return Fraction(mass, norm)
+    return mass, norm
 
 
 def _readout(machine: ClassicalAutomaton, state: ExactState) -> Fraction:
@@ -254,7 +256,7 @@ def accept_value(machine: ClassicalAutomaton, w: str) -> Fraction:
     ``dollar`` is never built: ``ClassicalAutomaton._value`` reads the
     value off the state before it.
     """
-    return machine._value(_before_dollar(machine, w))
+    return Fraction(*machine._value(_before_dollar(machine, w)))
 
 
 def accept_value_normalized(machine: ClassicalAutomaton, w: str) -> Fraction:
@@ -349,7 +351,9 @@ def _value_blocks(machine: ClassicalAutomaton, maxlen: int) -> Iterator[tuple[li
     def children(state: ExactState) -> tuple[ExactState, ...]:
         return tuple(mat.step(state) for mat in steps)
 
-    readout = cache(machine._value)
+    value = machine._value
+    # Cached as a Fraction, so a state's value is reduced once however many strings reach it.
+    readout = cache(lambda state: Fraction(*value(state)))
     yield from _length_lex(
         machine.alphabet,
         maxlen,

@@ -373,46 +373,60 @@ def _sweep(
     )
 
 
-def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: int) -> Iterator[tuple]:
-    """A sweep's classes: the strings of one length that reach one exact state and one oracle state.
+def _class_levels(
+    machine: ClassicalAutomaton, start: Hashable, step: Callable[[Hashable, str], Hashable], maxlen: int
+) -> Iterator[tuple[dict, list[int]]]:
+    """The one class frontier: the strings of one length that reach one exact state and one other state.
 
-    Such strings share their value and membership, so each class is
-    stepped once per symbol and read out once. A length is one block
-    ``(words, values, members, ids)``: ``values`` and ``members`` hold
-    each class's value and membership, ``ids`` each string's class, and
-    ``words`` makes the strings only as it is iterated. Only one length's
-    classes are kept at a time.
+    The exact state is ``machine``'s. The other is a second automaton's:
+    an oracle's for a sweep, a second machine's for an equivalence check.
+    It starts in ``start`` and goes one symbol on by ``step(state,
+    symbol)``; its states must be hashable, and equal states
+    interchangeable. Strings of one class share everything a reader reads
+    off the pair, so each class is stepped once per symbol. Per length,
+    shortest first, this yields ``(classes, ids)``: ``classes`` maps each
+    class ``(exact state, state)`` to its index, which is its place in the
+    dict's order, and ``ids`` lists each string's class, in
+    length-lexicographic order of ``machine``'s alphabet. Only one
+    length's classes are kept at a time.
     """
     table = machine.transitions
-    alphabet = machine.alphabet
-    steps = [(sym, table[sym]) for sym in alphabet]
-    value = machine._value
-    member_of, step_oracle = stepper.member, stepper.step
+    steps = [(sym, table[sym]) for sym in machine.alphabet]
 
     def children(classes: dict, ids: list) -> tuple[dict, list]:
         kids: dict = {}
         # One list of child class indices per symbol, in the order of the parent classes.
         columns = [
-            [
-                kids.setdefault((mat.step(state), step_oracle(oracle_state, sym)), len(kids))
-                for state, oracle_state in classes
-            ]
+            [kids.setdefault((mat.step(state), step(other, sym)), len(kids)) for state, other in classes]
             for sym, mat in steps
         ]
         in_order = zip(*[map(column.__getitem__, ids) for column in columns])
         return kids, list(itertools.chain.from_iterable(in_order))
 
-    # Each class of a length maps to its index, which is its place in the dict's order.
-    classes = {(table[CENT].step(_initial(machine)), stepper.start): 0}
+    classes = {(table[CENT].step(_initial(machine)), start): 0}
     ids = [0]
     for length in range(maxlen + 1):
         if length:
             classes, ids = children(classes, ids)
             if not ids:  # no symbols: no string is longer than 0
                 return
-        values = [value(state) for state, _ in classes]
+        yield classes, ids
+
+
+def _class_blocks(machine: ClassicalAutomaton, stepper: OracleStepper, maxlen: int) -> Iterator[tuple]:
+    """A sweep's classes: the strings of one length that reach one exact state and one oracle state.
+
+    Such strings share their value and membership, so each class is read
+    out once. A length is one block ``(words, values, members, ids)`` of
+    :func:`_class_levels`: ``values`` and ``members`` hold each class's
+    value and membership, ``ids`` each string's class, and ``words``
+    makes the strings only as it is iterated.
+    """
+    value, member_of = machine._value, stepper.member
+    for length, (classes, ids) in enumerate(_class_levels(machine, stepper.start, stepper.step, maxlen)):
+        values = list(itertools.starmap(Fraction, map(value, map(operator.itemgetter(0), classes))))
         members = [bool(member_of(oracle_state)) for _, oracle_state in classes]
-        yield map("".join, itertools.product(alphabet, repeat=length)), values, members, ids
+        yield map("".join, itertools.product(machine.alphabet, repeat=length)), values, members, ids
 
 
 def sweep(
@@ -512,10 +526,23 @@ def equivalence_check(
     indeterminate instead of failing. A corpus of more than
     :data:`SWEEP_CAP` strings raises ``ValueError`` before any string is
     evaluated, as in :func:`sweep`.
+
+    Two classical machines are compared on pair classes (see
+    :func:`_class_levels`): the strings of one length that reach one exact
+    state of ``m1`` and one of ``m2`` share both signs, so each class is
+    decided once, on the integers of the machines' value kernels, and
+    ``Fraction`` values are built only for violations. Neither machine is
+    copied: ``m2`` is stepped in ``m1``'s symbol order. A pair with a
+    quantum side is compared string by string, with ``m2`` copied into
+    ``m1``'s symbol order when the orders differ. Either way, violations
+    and indeterminate strings come in length-lexicographic order of
+    ``m1``'s alphabet.
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError(f"alphabet mismatch: {m1.alphabet} vs {m2.alphabet}")
     _check_corpus(m1.alphabet, maxlen)
+    if m1.kind != "qfa" and m2.kind != "qfa":
+        return _pair_check(m1, _entry(cutpoint1), m2, _entry(cutpoint2), maxlen)
     if m2.alphabet != m1.alphabet:
         # Enumerating m2 in m1's symbol order lists the same strings in both
         # streams; a copy compiles its kernels again, so only when needed.
@@ -534,3 +561,30 @@ def equivalence_check(
         elif s1 != s2:
             violations.append((w, v1, v2))
     return EquivalenceReport(maxlen, tuple(violations), tuple(indeterminate))
+
+
+def _pair_check(
+    m1: ClassicalAutomaton, cutpoint1: Fraction, m2: ClassicalAutomaton, cutpoint2: Fraction, maxlen: int
+) -> EquivalenceReport:
+    """:func:`equivalence_check` of two classical machines, one pair class at a time."""
+    p1, q1 = cutpoint1.as_integer_ratio()
+    p2, q2 = cutpoint2.as_integer_ratio()
+    value1, value2, table2 = m1._value, m2._value, m2.transitions
+    violations = []
+    levels = _class_levels(m1, table2[CENT].step(_initial(m2)), lambda state, sym: table2[sym].step(state), maxlen)
+    for length, (classes, ids) in enumerate(levels):
+        # The values' denominators and the cutpoints' are positive, so
+        # num * q - p * den has the sign of value - cutpoint.
+        odd = {}
+        for (state1, state2), i in classes.items():
+            n1, d1 = value1(state1)
+            n2, d2 = value2(state2)
+            diff1, diff2 = n1 * q1 - p1 * d1, n2 * q2 - p2 * d2
+            if (diff1 > 0) - (diff1 < 0) != (diff2 > 0) - (diff2 < 0):
+                odd[i] = Fraction(n1, d1), Fraction(n2, d2)
+        if odd:
+            # Only the strings of the classes that disagree are made.
+            flags = list(map(odd.__contains__, ids))
+            words = map("".join, itertools.compress(itertools.product(m1.alphabet, repeat=length), flags))
+            violations += [(w, *odd[i]) for w, i in zip(words, itertools.compress(ids, flags))]
+    return EquivalenceReport(maxlen, tuple(violations), ())

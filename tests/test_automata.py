@@ -36,7 +36,7 @@ from afalib.constructions import (
 )
 from afalib.exactnum import Mat, basis_vector, l1_norm, vec
 from afalib.rand import random_afa, random_pfa, random_qfa
-from afalib.recognition import LanguageOracle, OracleStepper, sweep
+from afalib.recognition import LanguageOracle, OracleStepper, equivalence_check, sweep
 
 # The unary language of even lengths, with a stepper, so a sweep goes by class.
 EVEN = LanguageOracle(
@@ -272,6 +272,11 @@ def test_zero_state_readouts_raise_value_error():
     for oracle in (EVEN, replace(EVEN, stepper=None)):
         with pytest.raises(ValueError, match="zero vector"):
             sweep(m, Fraction(1, 2), "cutpoint", oracle, 1)
+    # An equivalence check reads both machines' values through their kernels, on either side.
+    valid = ClassicalAutomaton.build("afa", ("p",), ("a",), {"a": Mat([[1]])}, 0, (0,))
+    for m1, m2 in ((m, valid), (valid, m), (m, m)):
+        with pytest.raises(ValueError, match="zero vector"):
+            equivalence_check(m1, Fraction(1, 2), m2, Fraction(1, 2), 1)
 
 
 def test_dfa_automaton_builder_runs_by_name():
@@ -428,11 +433,12 @@ def test_the_fused_value_is_the_readout_of_the_stepped_dollar(name):
     for n in range(5):
         states.update(_before_dollar(m, "".join(p)) for p in product(m.alphabet, repeat=n))
     for state in states:
-        value = m._value(state)
-        assert type(value) is Fraction
-        assert value == _readout(m, m.transitions[DOLLAR].step(state))
+        # The kernel gives the value as an unreduced integer pair over a positive denominator.
+        num, den = pair = m._value(state)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(*pair) == _readout(m, m.transitions[DOLLAR].step(state))
     if name == "pfa-no-accepting":
-        assert all(m._value(state) == 0 for state in states)
+        assert all(m._value(state)[0] == 0 for state in states)
 
 
 def _wide_machine(kind: str, n: int = 3001):

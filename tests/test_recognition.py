@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from afalib import automata, quantum, recognition
-from afalib.automata import ClassicalAutomaton, dfa_automaton
+from afalib.automata import ClassicalAutomaton, accept_value, dfa_automaton
 from afalib.cli import main, render_report
 from afalib.constructions import (
     abs_eq,
     afa_to_nqfa,
     compile_blind_counters,
+    exclusive_pfa_to_nafa,
     lapins,
     m1_eq,
     m2_eq,
@@ -26,7 +27,7 @@ from afalib.constructions import (
 from afalib.exactnum import Mat
 from afalib.fileformat import dumps_automaton, loads_counter_spec, save_automaton
 from afalib.quantum import QuantumAutomaton, Superoperator
-from afalib.rand import random_afa, random_qfa
+from afalib.rand import random_afa, random_pfa, random_qfa
 from afalib.recognition import (
     BUILTIN_ORACLES,
     LanguageOracle,
@@ -649,6 +650,65 @@ def test_equivalence_aligns_reordered_alphabets(lane1, lane2):
     assert violations
 
 
+def _reversed(machine):
+    return replace(machine, alphabet=machine.alphabet[::-1])
+
+
+def _reference_violations(m1, cutpoint1, m2, cutpoint2, maxlen):
+    """The violations of an equivalence check, one accept_value and one sign per string and machine."""
+    out = []
+    for w in enumerate_strings(m1.alphabet, maxlen):
+        v1, v2 = accept_value(m1, w), accept_value(m2, w)
+        if (v1 > cutpoint1) - (v1 < cutpoint1) != (v2 > cutpoint2) - (v2 < cutpoint2):
+            out.append((w, v1, v2))
+    return tuple(out)
+
+
+def _middle_value(machine):
+    """The median of the machine's values on the strings of length at most 3."""
+    values = sorted(accept_value(machine, w) for w in enumerate_strings(machine.alphabet, 3))
+    return values[len(values) // 2]
+
+
+def _seeded_pairs():
+    rng = random.Random(23)
+    cutpoints = [Fraction(k, 6) for k in range(1, 6)]
+    for seed in range(4):
+        afa = random_afa(random.Random(seed), 2 + seed % 3)
+        lam1, lam2 = rng.sample(cutpoints, 2)
+        yield f"shift-interior-{seed}", afa, lam1, shift_interior(afa, lam1, lam2), lam2, 6
+        # Cutpoints among each machine's values, so that a pair's signs split.
+        pfa, other = random_pfa(random.Random(10 + seed), 2 + seed % 2), random_pfa(random.Random(20 + seed), 3)
+        yield f"pfa-pfa-{seed}", pfa, _middle_value(pfa), other, _middle_value(other), 6
+        nafa = exclusive_pfa_to_nafa(pfa)
+        yield f"exclusive-{seed}", pfa, Fraction(1, 2), nafa, _middle_value(nafa), 6
+    yield "m1_eq", m1_eq(), Fraction(5, 6), m1_eq(), Fraction(1, 2), 7
+
+
+PAIRS = {name: pair for name, *pair in _seeded_pairs()}
+
+
+@pytest.mark.parametrize("order", ["same", "reversed"])
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_pair_classes_match_a_per_string_reference(monkeypatch, name, order):
+    m1, cutpoint1, m2, cutpoint2, maxlen = PAIRS[name]
+    if order == "reversed":
+        m2 = _reversed(m2)
+    want = _reference_violations(m1, cutpoint1, m2, cutpoint2, maxlen)
+    # Two classical machines never take the string lane.
+    monkeypatch.setattr(automata, "_value_blocks", None)
+    report = equivalence_check(m1, cutpoint1, m2, cutpoint2, maxlen)
+    assert report.violations == want
+    assert all(type(v1) is type(v2) is Fraction for _, v1, v2 in report.violations)
+    assert report.indeterminate == ()
+    assert report.equivalent == (not want)
+    if name.startswith("shift-interior"):
+        assert not want
+    elif name == "m1_eq":
+        # Violations at several lengths, in length-lexicographic order of m1's alphabet.
+        assert len({len(w) for w, _, _ in want}) > 2
+
+
 @pytest.mark.parametrize("lane", [_exact, afa_to_nqfa], ids=["exact", "quantum"])
 def test_equivalence_keeps_the_compiled_kernel_of_a_machine_in_the_same_order(lane):
     m2 = lane(m1_eq())
@@ -656,6 +716,14 @@ def test_equivalence_keeps_the_compiled_kernel_of_a_machine_in_the_same_order(la
     assert report.maxlen == 4
     # Same symbol order, so no copy: the kernel compiled for the call stays on m2.
     assert ("_block" if m2.kind == "qfa" else "_value") in vars(m2)
+
+
+def test_equivalence_steps_a_classical_machine_in_another_order_without_a_copy():
+    m2 = _reversed(m1_eq())
+    report = equivalence_check(m1_eq(), Fraction(5, 6), m2, Fraction(1, 2), 4)
+    assert report.violations[0][0] == "a"
+    # m2 itself was stepped in m1's symbol order, so its kernel was compiled on it.
+    assert "_value" in vars(m2)
 
 
 def test_equivalence_flags_float_values_within_kappa_of_their_cutpoint():
@@ -686,9 +754,11 @@ def test_equivalence_refuses_oversized_and_negative_corpora_before_any_evaluatio
     def refuse(*args):
         raise AssertionError("no string may be evaluated")
 
-    # Either lane fails the test as soon as it is asked for a value.
+    # Either lane, and any exact step, fails the test as soon as it is asked for a value.
     monkeypatch.setattr(automata, "_value_blocks", refuse)
     monkeypatch.setattr(quantum, "_value_blocks", refuse)
+    # Two classical machines are stepped by pair class, which calls neither lane.
+    monkeypatch.setattr(Mat, "step", refuse)
     with pytest.raises(ValueError, match="more than 1000000 strings"):
         equivalence_check(m1, Fraction(1, 2), m2, Fraction(1, 2), 10**9)
     # 2**20 - 1 strings to length 19: the shortest length past the cap.
